@@ -317,8 +317,8 @@ def bench_warehouse(n_jobs=120, probe_jobs=24, seed=31):
 
 class IndexFreeService(WarehouseService):
     """The pre-index read paths: full-fleet candidate scans for
-    admission and the recheck walking every used node — the code
-    repro-cost's RPL1001 findings evicted.  Only the two scan-shaped
+    admission and the recheck walking every used node — the code the
+    COST family's RPL1001 findings evicted.  Only the two scan-shaped
     readers are restored; commits still maintain the (unused) indices,
     so the comparison isolates exactly what the buckets buy."""
 

@@ -12,18 +12,18 @@ follow chains like ``node_state.build_node(...)`` →
 ``CLITEEngine(node, cfg).optimize()`` or
 ``tel.metrics.counter(...).add(...)``.
 
-The interprocedural dataflow pass (:mod:`.dataflow`, RPL6xx) reuses the
-same :class:`FunctionScanner` resolution machinery, so both layers see
-one consistent view of the project's types.
+The interprocedural families (RPL6xx-RPL10xx) share the scanners this
+pass builds (:meth:`CallGraph.scanner`), so every layer sees one
+consistent view of the project's types.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Optional, Set, Tuple
 
-from .project import FunctionInfo, ModuleInfo, Project
+from .project import FunctionInfo, ModuleInfo, Project, is_self, self_attr
 
 #: Executor methods whose first argument runs on a pool thread.
 _POOL_DISPATCH = {"submit", "map", "apply_async", "starmap"}
@@ -75,6 +75,55 @@ class CallGraph:
     param_types: Dict[str, Dict[str, str]] = field(default_factory=dict)
     #: (class name, attribute) -> simple class name of the attribute
     attr_types: Dict[Tuple[str, str], str] = field(default_factory=dict)
+    _scanners: Dict[str, "FunctionScanner"] = field(
+        default_factory=dict, repr=False
+    )
+    _dotted: Dict[str, Optional[str]] = field(default_factory=dict, repr=False)
+
+    def scanner(
+        self, fn: Optional[FunctionInfo], module: ModuleInfo
+    ) -> "FunctionScanner":
+        """The type oracle for one function body (``fn=None``: the
+        module's top-level code, skipping defs and classes), built and
+        visited once per graph.  Its type state is flow-insensitive, so
+        every analysis family can share it."""
+        key = fn.key if fn is not None else module.name
+        found = self._scanners.get(key)
+        if found is None:
+            found = self._scanners[key] = _visited_scanner(self, fn, module)
+        return found
+
+    def function_for_dotted(self, dotted: str) -> Optional[str]:
+        """Function key a dotted ``mod.fn`` / ``mod.Cls`` (its
+        constructor) / ``mod.Cls.meth`` (inherited methods included)
+        name calls, memoized per graph."""
+        if dotted in self._dotted:
+            return self._dotted[dotted]
+        found: Optional[str] = None
+        for module, parts in self.project.module_splits(dotted):
+            if len(parts) == 1:
+                if parts[0] in module.functions:
+                    found = module.functions[parts[0]].key
+                    break
+                if parts[0] in module.classes:
+                    found = next(iter(self.class_ctor_keys(parts[0])), None)
+                    break
+            elif len(parts) == 2 and parts[0] in module.classes:
+                method = self.project.lookup_method(parts[0], parts[1])
+                if method is not None:
+                    found = method.key
+                    break
+        self._dotted[dotted] = found
+        return found
+
+    def class_ctor_keys(self, class_name: str) -> List[str]:
+        """``__init__`` / ``__post_init__`` keys a construction calls (a
+        class with no explicit constructor still types its result)."""
+        return [
+            found.key
+            for method in ("__init__", "__post_init__")
+            if (found := self.project.lookup_method(class_name, method))
+        ]
 
     def attr_type(self, class_name: str, attr: str) -> Optional[str]:
         """Type of ``class_name.attr``, walking base classes by name."""
@@ -114,9 +163,10 @@ class CallGraph:
 class FunctionScanner(ast.NodeVisitor):
     """Collects call edges and local types inside one function body.
 
-    Also the project's shared expression-type oracle: the dataflow pass
-    (:mod:`.dataflow`) instantiates one per function to resolve call
-    targets and receiver types with the same rules the call graph uses.
+    Also the project's shared expression-type oracle: every analysis
+    family reads the one visited scanner per function that
+    :meth:`CallGraph.scanner` caches, to resolve call targets and
+    receiver types with the same rules the call graph uses.
     ``fn`` may be ``None`` for module-level code (no parameters, no
     ``self``).
     """
@@ -157,24 +207,16 @@ class FunctionScanner(ast.NodeVisitor):
                     # Re-assignment to something untypeable invalidates
                     # whatever the local held before.
                     self.local_types.pop(target.id, None)
-            elif (
-                isinstance(target, ast.Attribute)
-                and isinstance(target.value, ast.Name)
-                and target.value.id == "self"
-            ):
-                self._record_self_attr(target.attr, inferred)
+            elif (attr := self_attr(target)) is not None:
+                self._record_self_attr(attr, inferred)
         self.generic_visit(node)
 
     def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
         cls = _annotation_class(node.annotation)
         if isinstance(node.target, ast.Name) and cls is not None:
             self.local_types[node.target.id] = cls
-        elif (
-            isinstance(node.target, ast.Attribute)
-            and isinstance(node.target.value, ast.Name)
-            and node.target.value.id == "self"
-        ):
-            self._record_self_attr(node.target.attr, cls)
+        elif (attr := self_attr(node.target)) is not None:
+            self._record_self_attr(attr, cls)
         self.generic_visit(node)
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
@@ -222,43 +264,14 @@ class FunctionScanner(ast.NodeVisitor):
 
     def _function_for_dotted(self, dotted: str) -> Optional[str]:
         """Map ``pkg.mod.fn`` / ``pkg.mod.Cls.meth`` to a function key."""
-        for module_name, module in self.project.modules.items():
-            if dotted == module_name or not dotted.startswith(module_name + "."):
-                continue
-            remainder = dotted[len(module_name) + 1 :]
-            parts = remainder.split(".")
-            if len(parts) == 1:
-                if parts[0] in module.functions:
-                    return module.functions[parts[0]].key
-                if parts[0] in module.classes:
-                    return self._class_ctor_key(parts[0])
-            elif len(parts) == 2 and parts[0] in module.classes:
-                method = self.project.lookup_method(parts[0], parts[1])
-                if method is not None:
-                    return method.key
+        if "." in dotted:
+            return self.graph.function_for_dotted(dotted)
         # Same-module shortcut: a bare name with no import alias.
-        if "." not in dotted:
-            if dotted in self.module.functions:
-                return self.module.functions[dotted].key
-            if dotted in self.module.classes:
-                return self._class_ctor_key(dotted)
+        if dotted in self.module.functions:
+            return self.module.functions[dotted].key
+        if dotted in self.module.classes:
+            return next(iter(self.graph.class_ctor_keys(dotted)), None)
         return None
-
-    def _class_ctor_key(self, class_name: str) -> Optional[str]:
-        for method in ("__init__", "__post_init__"):
-            found = self.project.lookup_method(class_name, method)
-            if found is not None:
-                return found.key
-        # A class with no explicit constructor still types its result.
-        return None
-
-    def _class_ctor_keys(self, class_name: str) -> List[str]:
-        keys = []
-        for method in ("__init__", "__post_init__"):
-            found = self.project.lookup_method(class_name, method)
-            if found is not None:
-                keys.append(found.key)
-        return keys
 
     def _call_result_type(self, node: ast.AST) -> Optional[str]:
         """Class name a call expression evaluates to, when knowable."""
@@ -313,6 +326,14 @@ class FunctionScanner(ast.NodeVisitor):
             return self._value_type(node.value)
         return None
 
+    def receiver_type(self, node: ast.AST) -> Optional[str]:
+        """:meth:`_value_type`, falling back to the enclosing class for
+        a bare ``self``."""
+        found = self._value_type(node)
+        if found is None and is_self(node) and self.fn is not None:
+            return self.fn.class_name
+        return found
+
     def _resolve_call_targets(self, node: ast.Call) -> List[str]:
         func = node.func
         if isinstance(func, ast.Name):
@@ -324,7 +345,7 @@ class FunctionScanner(ast.NodeVisitor):
                 simple in self.project.classes_by_name
                 and self._is_project_class_ref(dotted, simple)
             ):
-                return self._class_ctor_keys(simple)
+                return self.graph.class_ctor_keys(simple)
             key = self._function_for_dotted(dotted)
             return [key] if key is not None else []
         if isinstance(func, ast.Attribute):
@@ -344,14 +365,7 @@ class FunctionScanner(ast.NodeVisitor):
         self, func: ast.Attribute, record_type: bool = True
     ) -> List[str]:
         # self.method() / var.method() with an inferred receiver type.
-        receiver = self._value_type(func.value)
-        if receiver is None and isinstance(func.value, ast.Name):
-            if (
-                func.value.id == "self"
-                and self.fn is not None
-                and self.fn.class_name is not None
-            ):
-                receiver = self.fn.class_name
+        receiver = self.receiver_type(func.value)
         if receiver is not None:
             method = self.project.lookup_method(receiver, func.attr)
             if method is not None:
@@ -402,9 +416,37 @@ def build_callgraph(project: Project) -> CallGraph:
     for collect_edges in (False, True):
         for fn in project.iter_functions():
             module = project.modules[fn.module]
-            scanner = FunctionScanner(graph, fn, module)
-            for statement in fn.node.body:
-                scanner.visit(statement)
+            scanner = _visited_scanner(graph, fn, module)
             if collect_edges:
                 graph.edges[fn.key] = scanner.callees
     return graph
+
+
+def _visited_scanner(
+    graph: CallGraph, fn: Optional[FunctionInfo], module: ModuleInfo
+) -> FunctionScanner:
+    scanner = FunctionScanner(graph, fn, module)
+    body = fn.node.body if fn is not None else module.tree.body
+    for statement in body:
+        if fn is not None or not isinstance(
+            statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        ):
+            scanner.visit(statement)
+    return scanner
+
+
+def shared_callgraph(project: Project) -> CallGraph:
+    """One call graph per parsed project (every family shares it)."""
+    return project.memo("callgraph", None, lambda: build_callgraph(project))
+
+
+def shared_analysis(
+    name: str, analysis: Callable[..., Any], project: Project, config: Hashable
+) -> Any:
+    """``analysis(project, graph, config).run()``, once per project and
+    config: every rule of a family, and its report, share the result."""
+    return project.memo(
+        name,
+        config,
+        lambda: analysis(project, shared_callgraph(project), config).run(),
+    )

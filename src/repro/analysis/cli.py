@@ -4,23 +4,38 @@ Usage::
 
     repro-lint src/repro                 # human-readable text
     repro-lint src/repro --format json   # CI reporter
+    repro-lint src/repro --report flow   # lock-order graph, escapes
+    repro-lint src/repro --report pure   # purity & phase report
+    repro-lint src/repro --report cost   # per-entry-point cost table
     repro-lint --list-rules              # the rule catalog
 
-Exit status: 0 clean, 1 findings, 2 usage/configuration error.
+``--report FAMILY`` runs only that family (as ``--select FAMILY``
+would) and prints the analysis behind its findings in place of the
+findings list.  Exit status: 0 clean, 1 findings, 2 usage/configuration
+error.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
-from typing import List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from . import cost, flow, pure
 from .cache import DEFAULT_CACHE_FILE, LintCache, cache_key
 from .config import load_config
 from .engine import LintEngine, discover_files
 from .model import all_rules
 from .reporter import render_json, render_rule_catalog, render_text
+
+#: ``--report`` family -> (analysis, text renderer, JSON renderer).
+_REPORTS: Dict[str, Tuple[Callable[..., Any], ...]] = {
+    "flow": (flow.flow_analysis, flow.render_text, flow.render_json),
+    "pure": (pure.pure_analysis, pure.render_text, pure.render_json),
+    "cost": (cost.cost_analysis, cost.render_text, cost.render_json),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,6 +79,15 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "File or directory to skip during discovery (repeatable); "
             "e.g. --exclude tests/lint_fixtures."
+        ),
+    )
+    parser.add_argument(
+        "--report",
+        choices=sorted(_REPORTS),
+        help=(
+            "Run only this family and print its analysis report "
+            "(lock-order graph, purity closures, cost table) instead "
+            "of the findings list; --format picks text or json."
         ),
     )
     parser.add_argument(
@@ -136,10 +160,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
 
     select = _expand_families(_split_rules(args.select))
+    if args.report:
+        select = _expand_families((args.report,))
     ignore = _expand_families(_split_rules(args.ignore))
     if select or ignore:
-        from dataclasses import replace
-
         config = replace(
             config,
             select=select or config.select,
@@ -157,7 +181,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     cache = None
     key = None
-    if not args.no_cache:
+    if not args.no_cache and not args.report:
         try:
             files = discover_files(paths, exclude=args.exclude)
             key = cache_key(files, config)
@@ -184,6 +208,18 @@ def main(argv: Optional[List[str]] = None) -> int:
     if cache is not None and key is not None:
         cache.store(key, findings)
 
+    if args.report:
+        analyze, text, json_ = _REPORTS[args.report]
+        analysis = analyze(project, config)
+        print(json_(analysis) if args.format == "json" else text(analysis))
+        if findings:
+            print(render_text(findings), file=sys.stderr)
+            print(
+                f"repro-lint: {len(findings)} {args.report.upper()} "
+                f"violation(s) found",
+                file=sys.stderr,
+            )
+        return 1 if findings else 0
     if args.format == "json":
         print(render_json(findings))
     else:

@@ -382,48 +382,28 @@ def load_config(start: Optional[Path] = None) -> LintConfig:
     overrides = {}
     for key, value in table.items():
         name = key.replace("-", "_")
-        if name == "flow" and isinstance(value, dict):
-            # [tool.repro-lint.flow]: sub-keys map onto flow_* fields
-            # and hold lists (unlike the scalar-valued units table).
+        if name in ("flow", "pure", "cost") and isinstance(value, dict):
+            # [tool.repro-lint.<family>]: sub-keys map onto <family>_*
+            # fields and hold lists.  The cost table's registry-shaped
+            # sub-tables (budgets, collections, bounded) read best as
+            # TOML tables and flatten to sorted "k=v" entries like the
+            # units table.
             for sub_key, sub_value in value.items():
-                sub_name = f"flow_{sub_key.replace('-', '_')}"
-                if sub_name not in known or not isinstance(sub_value, list):
-                    raise ValueError(
-                        f"unknown [tool.repro-lint.flow] option {sub_key!r} "
-                        f"in {pyproject}"
-                    )
-                overrides[sub_name] = tuple(str(v) for v in sub_value)
-            continue
-        if name == "pure" and isinstance(value, dict):
-            # [tool.repro-lint.pure]: sub-keys map onto pure_* fields
-            # and hold lists, mirroring the flow table.
-            for sub_key, sub_value in value.items():
-                sub_name = f"pure_{sub_key.replace('-', '_')}"
-                if sub_name not in known or not isinstance(sub_value, list):
-                    raise ValueError(
-                        f"unknown [tool.repro-lint.pure] option {sub_key!r} "
-                        f"in {pyproject}"
-                    )
-                overrides[sub_name] = tuple(str(v) for v in sub_value)
-            continue
-        if name == "cost" and isinstance(value, dict):
-            # [tool.repro-lint.cost]: sub-keys map onto cost_* fields.
-            # Registry-shaped sub-tables (budgets, collections, bounded)
-            # read best as TOML tables and flatten to sorted "k=v"
-            # entries like the units table; list-shaped ones
-            # (hot-entrypoints, small-names) stay lists.
-            for sub_key, sub_value in value.items():
-                sub_name = f"cost_{sub_key.replace('-', '_')}"
+                sub_name = f"{name}_{sub_key.replace('-', '_')}"
                 if sub_name in known and isinstance(sub_value, list):
                     overrides[sub_name] = tuple(str(v) for v in sub_value)
-                elif sub_name in known and isinstance(sub_value, dict):
+                elif (
+                    sub_name in known
+                    and name == "cost"
+                    and isinstance(sub_value, dict)
+                ):
                     overrides[sub_name] = tuple(
                         sorted(f"{k}={v}" for k, v in sub_value.items())
                     )
                 else:
                     raise ValueError(
-                        f"unknown [tool.repro-lint.cost] option {sub_key!r} "
-                        f"in {pyproject}"
+                        f"unknown [tool.repro-lint.{name}] option "
+                        f"{sub_key!r} in {pyproject}"
                     )
             continue
         if name not in known:

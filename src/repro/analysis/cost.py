@@ -44,15 +44,27 @@ source.
 from __future__ import annotations
 
 import ast
+import json
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Collection, Dict, List, Optional, Sequence, Set, Tuple
 
-from .callgraph import CallGraph, FunctionScanner
+from .callgraph import CallGraph, FunctionScanner, shared_analysis
 from .config import LintConfig
-from .dataflow import shared_callgraph
-from .flow import Site
+from .core import (
+    CallClosure,
+    RegistryHit,
+    Site,
+    expr_text,
+    fn_label,
+    param_names,
+    passed_value,
+    registry_hit,
+    site_of,
+    suppressed,
+    via,
+)
 from .project import FunctionInfo, ModuleInfo, Project
-from .pure import PureAnalysis, _param_names, pure_analysis
+from .pure import PureAnalysis, pure_analysis
 
 #: The N-class size variables; everything else in a term is ``small``.
 N_VARS = ("n_jobs", "n_nodes", "n_shards")
@@ -85,7 +97,6 @@ _HASHED_TYPES = {
     "frozenset", "set",
 }
 
-_VIA_LIMIT = 8
 _TERM_LIMIT = 32
 _REPEAT_SIG_LIMIT = 64
 
@@ -113,7 +124,7 @@ class Term:
         return sum(1 for v in self.vars if v in N_VARS)
 
 
-def render_terms(terms: Sequence[Term]) -> str:
+def render_terms(terms: Collection[Term]) -> str:
     """``O(...)`` text for the worst monomials of a closed cost."""
     if not terms:
         return "O(1)"
@@ -179,17 +190,6 @@ class RepeatHit:
     count: int
 
 
-@dataclass(frozen=True)
-class CostRegistryHit:
-    """RPL1005: a cost-registry entry that is stale or malformed."""
-
-    entry: str
-    table: str            # "budgets" | "hot-entrypoints"
-    module: str
-    site: Site
-    detail: str
-
-
 # ----------------------------------------------------------------------
 # Per-function harvest
 # ----------------------------------------------------------------------
@@ -229,12 +229,9 @@ class _FnCost:
     )
 
 
-def _expr_text(node: ast.AST, limit: int = 60) -> str:
-    try:
-        text = ast.unparse(node)
-    except Exception:  # pragma: no cover - unparse is total on 3.9+
-        text = type(node).__name__
-    return text if len(text) <= limit else text[: limit - 3] + "..."
+#: A walk position: enclosing loop-bound prefix, loop line stack, and
+#: conditional-arm path (see :class:`_CostCall`).
+_Ctx = Tuple[Tuple[str, ...], Tuple[int, ...], Tuple[Tuple[int, int], ...]]
 
 
 def parse_budget(expr: str) -> Optional[int]:
@@ -258,6 +255,20 @@ def parse_budget(expr: str) -> Optional[int]:
     return allowed
 
 
+def _prune_terms(terms: List[Term]) -> Tuple[Term, ...]:
+    """One term per var tuple, the highest-degree ``_TERM_LIMIT`` kept."""
+    by_vars: Dict[Tuple[str, ...], Term] = {}
+    for term in sorted(
+        terms,
+        key=lambda t: (t.vars, t.site.module, t.site.line, t.what),
+    ):
+        by_vars.setdefault(term.vars, term)
+    pruned = sorted(
+        by_vars.values(), key=lambda t: (-t.degree, t.vars)
+    )[:_TERM_LIMIT]
+    return tuple(sorted(pruned, key=lambda t: (t.vars, t.site.line)))
+
+
 class _CostScanner:
     """Harvests loop/alloc/scan charges from one function body."""
 
@@ -279,7 +290,7 @@ class _CostScanner:
 
     # -- name classification -------------------------------------------
     def _seed_names(self) -> None:
-        for name in _param_names(self.fn):
+        for name in param_names(self.fn):
             if name in ("self", "cls"):
                 self._name_class[name] = "small"
             elif name in self.analysis.small_names:
@@ -311,7 +322,7 @@ class _CostScanner:
                 classes = {
                     self._bound_of(value) for value in self._assigns[name]
                 }
-                if name in _param_names(self.fn):
+                if name in param_names(self.fn):
                     classes.add(f"param:{name}")
                 if len(classes) == 1:
                     self._name_class[name] = classes.pop()
@@ -319,17 +330,16 @@ class _CostScanner:
                     self._name_class[name] = "small"
 
     # -- bound classification ------------------------------------------
-    def _token_of(self, expr: ast.Attribute) -> Optional[str]:
-        owner = self.scanner._value_type(expr.value)
-        if owner is None and isinstance(expr.value, ast.Name):
-            if (
-                expr.value.id == "self"
-                and self.fn.class_name is not None
-            ):
-                owner = self.fn.class_name
+    def _declared_size(self, expr: ast.Attribute) -> Optional[str]:
+        """``small`` for an allowlisted bounded attribute, the size var
+        of a declared collection, else ``None``."""
+        owner = self.scanner.receiver_type(expr.value)
+        token = f"{owner}.{expr.attr}"
         if owner is None:
             return None
-        return f"{owner}.{expr.attr}"
+        if token in self.analysis.bounded:
+            return "small"
+        return self.analysis.collections.get(token)
 
     def _rank(self, cls: Optional[str]) -> int:
         if cls is None:
@@ -356,14 +366,7 @@ class _CostScanner:
         if isinstance(expr, ast.Starred):
             return self._bound_of(expr.value)
         if isinstance(expr, ast.Attribute):
-            token = self._token_of(expr)
-            if token is not None:
-                if token in self.analysis.bounded:
-                    return "small"
-                found = self.analysis.collections.get(token)
-                if found is not None:
-                    return found
-            return "small"
+            return self._declared_size(expr) or "small"
         if isinstance(expr, ast.Subscript):
             # Indexing/slicing an N collection yields an element or a
             # bounded window (`occupied[:max_probe_nodes]`): small.  A
@@ -417,13 +420,9 @@ class _CostScanner:
         if simple in _SIZE_WRAPPERS and call.args:
             return self._bound_of(call.args[0])
         if isinstance(func, ast.Attribute):
-            token = self._token_of(func)
-            if token is not None:
-                if token in self.analysis.bounded:
-                    return "small"
-                found = self.analysis.collections.get(token)
-                if found is not None:
-                    return found
+            found = self._declared_size(func)
+            if found is not None:
+                return found
             if func.attr in _VIEW_METHODS:
                 return self._bound_of(func.value)
         return "small"
@@ -439,10 +438,7 @@ class _CostScanner:
                 if name in ("set", "frozenset", "dict"):
                     return True
         if isinstance(expr, ast.Attribute):
-            owner = self.scanner._value_type(expr.value)
-            if owner is None and isinstance(expr.value, ast.Name):
-                if expr.value.id == "self" and self.fn.class_name:
-                    owner = self.fn.class_name
+            owner = self.scanner.receiver_type(expr.value)
             if owner is not None:
                 ctype = self.analysis.graph.attr_type(owner, expr.attr)
                 if ctype in _HASHED_TYPES:
@@ -450,14 +446,6 @@ class _CostScanner:
         return False
 
     # -- charging -------------------------------------------------------
-    def _site(self, node: ast.AST) -> Site:
-        return Site(
-            module=self.fn.module,
-            line=getattr(node, "lineno", self.fn.node.lineno),
-            col=getattr(node, "col_offset", 0),
-            fn_key=self.fn.key,
-        )
-
     def _charge(
         self,
         prefix: Tuple[str, ...],
@@ -469,7 +457,7 @@ class _CostScanner:
         if bound is None:
             return
         vars = tuple(sorted(prefix + (bound,)))
-        site = self._site(node)
+        site = site_of(self.fn, node)
         self.out.charges.append(
             Term(vars=vars, kind=kind, what=what, site=site)
         )
@@ -492,15 +480,7 @@ class _CostScanner:
             stmts[-1], (ast.Return, ast.Raise, ast.Break, ast.Continue)
         )
 
-    def _walk_block(
-        self,
-        stmts: Sequence[ast.stmt],
-        ctx: Tuple[
-            Tuple[str, ...],
-            Tuple[int, ...],
-            Tuple[Tuple[int, int], ...],
-        ],
-    ) -> None:
+    def _walk_block(self, stmts: Sequence[ast.stmt], ctx: _Ctx) -> None:
         prefix, loops, branch = ctx
         for index, stmt in enumerate(stmts):
             if isinstance(stmt, (ast.For, ast.AsyncFor)):
@@ -508,7 +488,7 @@ class _CostScanner:
                 self._walk_expr(stmt.iter, ctx)
                 self._charge(
                     prefix, bound, "loop", stmt,
-                    f"for over {_expr_text(stmt.iter)}",
+                    f"for over {expr_text(stmt.iter)}",
                 )
                 inner = prefix + (bound,) if bound is not None else prefix
                 self._walk_block(
@@ -562,15 +542,7 @@ class _CostScanner:
                     if isinstance(child, ast.expr):
                         self._walk_expr(child, ctx)
 
-    def _walk_expr(
-        self,
-        expr: Optional[ast.AST],
-        ctx: Tuple[
-            Tuple[str, ...],
-            Tuple[int, ...],
-            Tuple[Tuple[int, int], ...],
-        ],
-    ) -> None:
+    def _walk_expr(self, expr: Optional[ast.AST], ctx: _Ctx) -> None:
         if expr is None:
             return
         prefix, loops, branch = ctx
@@ -596,7 +568,7 @@ class _CostScanner:
                 )
                 self._charge(
                     inner[0], bound, kind, expr,
-                    f"comprehension over {_expr_text(gen.iter)}",
+                    f"comprehension over {expr_text(gen.iter)}",
                 )
                 step = inner[0] + (bound,) if bound is not None else inner[0]
                 inner = (step, inner[1] + (expr.lineno,), inner[2])
@@ -618,7 +590,7 @@ class _CostScanner:
                     ):
                         self._charge(
                             prefix, bound, "membership", expr,
-                            f"'in' scan of {_expr_text(comparator)}",
+                            f"'in' scan of {expr_text(comparator)}",
                         )
                 left = comparator
             for child in ast.iter_child_nodes(expr):
@@ -632,15 +604,7 @@ class _CostScanner:
             if isinstance(child, ast.expr):
                 self._walk_expr(child, ctx)
 
-    def _handle_call(
-        self,
-        call: ast.Call,
-        ctx: Tuple[
-            Tuple[str, ...],
-            Tuple[int, ...],
-            Tuple[Tuple[int, int], ...],
-        ],
-    ) -> None:
+    def _handle_call(self, call: ast.Call, ctx: _Ctx) -> None:
         prefix, loops, branch = ctx
         func = call.func
         simple = None
@@ -653,13 +617,13 @@ class _CostScanner:
             bound = self._bound_of(call.args[0])
             self._charge(
                 prefix, bound, "alloc", call,
-                f"{simple}({_expr_text(call.args[0], 40)})",
+                f"{simple}({expr_text(call.args[0], 40)})",
             )
         elif simple in _SCAN_CALLS and call.args:
             bound = self._bound_of(call.args[0])
             self._charge(
                 prefix, bound, "scan", call,
-                f"{simple}({_expr_text(call.args[0], 40)})",
+                f"{simple}({expr_text(call.args[0], 40)})",
             )
         elif (
             isinstance(func, ast.Attribute)
@@ -668,13 +632,13 @@ class _CostScanner:
         ):
             self._charge(
                 prefix, self._bound_of(call.args[0]), "scan", call,
-                f"join({_expr_text(call.args[0], 40)})",
+                f"join({expr_text(call.args[0], 40)})",
             )
         elif isinstance(func, ast.Attribute) and simple == "copy":
             if not call.args:
                 self._charge(
                     prefix, self._bound_of(func.value), "alloc", call,
-                    f"{_expr_text(func.value, 40)}.copy()",
+                    f"{expr_text(func.value, 40)}.copy()",
                 )
         elif isinstance(func, (ast.Name, ast.Attribute)):
             dotted = self.module.resolve(func)
@@ -686,7 +650,7 @@ class _CostScanner:
             ):
                 self._charge(
                     prefix, self._bound_of(call.args[0]), "alloc", call,
-                    f"{dotted}({_expr_text(call.args[0], 40)})",
+                    f"{dotted}({expr_text(call.args[0], 40)})",
                 )
 
         targets = tuple(sorted(self.scanner._resolve_call_targets(call)))
@@ -697,7 +661,7 @@ class _CostScanner:
                     loops=loops,
                     branch=branch,
                     targets=targets,
-                    site=self._site(call),
+                    site=site_of(self.fn, call),
                     arg_classes=tuple(
                         self._bound_of(arg) for arg in call.args
                     ),
@@ -707,15 +671,15 @@ class _CostScanner:
                         if kw.arg is not None
                     ),
                     arg_texts=tuple(
-                        _expr_text(arg) for arg in call.args
+                        expr_text(arg) for arg in call.args
                     ),
                     kw_texts=tuple(
-                        (kw.arg, _expr_text(kw.value))
+                        (kw.arg, expr_text(kw.value))
                         for kw in call.keywords
                         if kw.arg is not None
                     ),
                     recv_text=(
-                        _expr_text(call.func.value)
+                        expr_text(call.func.value)
                         if isinstance(call.func, ast.Attribute)
                         else ""
                     ),
@@ -755,10 +719,15 @@ class CostAnalysis:
         self.quads: List[QuadHit] = []
         self.allocs: List[AllocHit] = []
         self.repeats: List[RepeatHit] = []
-        self.registry: List[CostRegistryHit] = []
+        self.registry: List[RegistryHit] = []
 
         self._harvests: Dict[str, _FnCost] = {}
-        self._closure_cache: Dict[str, Tuple[Term, ...]] = {}
+        self._cost_closure: CallClosure[Term, _CostCall] = CallClosure(
+            own=lambda key: self._harvest_of(key).charges,
+            calls=self._resolved_calls,
+            bind=self._bind_term,
+            finish=_prune_terms,
+        )
         self._repeat_maps: Dict[
             str, Dict[Tuple[str, Tuple[str, ...]], Tuple[int, Site]]
         ] = {}
@@ -767,41 +736,12 @@ class CostAnalysis:
         self._pure: Optional[PureAnalysis] = None
 
     # ------------------------------------------------------------------
-    # Registry resolution (pure.py's dotted-name discipline)
+    # Registry resolution (Project.resolve_dotted)
     # ------------------------------------------------------------------
-    def _resolve_dotted(self, dotted: str) -> Optional[str]:
-        for module_name, module in self.project.modules.items():
-            if not dotted.startswith(module_name + "."):
-                continue
-            remainder = dotted[len(module_name) + 1:]
-            parts = remainder.split(".")
-            if len(parts) == 1 and parts[0] in module.functions:
-                return module.functions[parts[0]].key
-            if len(parts) == 2 and parts[0] in module.classes:
-                method = module.classes[parts[0]].methods.get(parts[1])
-                if method is not None:
-                    return method.key
-        return None
-
-    def _owning_module(self, dotted: str) -> Optional[str]:
-        best = None
-        for module_name in self.project.modules:
-            if dotted.startswith(module_name + "."):
-                if best is None or len(module_name) > len(best):
-                    best = module_name
-        return best
-
-    def _registry_hit(
-        self, entry: str, table: str, detail: str
-    ) -> Optional[CostRegistryHit]:
-        module = self._owning_module(entry)
-        if module is None:
-            return None  # entry targets a module outside this run
-        site = Site(module=module, line=1, col=0, fn_key="")
-        return CostRegistryHit(
-            entry=entry, table=table, module=module, site=site,
-            detail=detail,
-        )
+    def _stale(self, entry: str, table: str, detail: str) -> None:
+        hit = registry_hit(self.project, entry, table, detail)
+        if hit is not None:
+            self.registry.append(hit)
 
     def _resolve_tables(self) -> None:
         for raw in self.config.cost_budgets:
@@ -809,40 +749,26 @@ class CostAnalysis:
             dotted = dotted.strip()
             expr = expr.strip()
             allowed = parse_budget(expr) if expr else None
-            key = self._resolve_dotted(dotted)
+            key = self.project.resolve_dotted(dotted)
             if key is None:
-                hit = self._registry_hit(
-                    dotted, "budgets", "no such function"
-                )
-                if hit is not None:
-                    self.registry.append(hit)
+                self._stale(dotted, "budgets", "no such function")
                 continue
             if allowed is None:
-                hit = self._registry_hit(
-                    dotted, "budgets", f"unparsable budget {expr!r}"
-                )
-                if hit is not None:
-                    self.registry.append(hit)
+                self._stale(dotted, "budgets", f"unparsable budget {expr!r}")
                 continue
             self.budgets[key] = Budget(
                 entry=dotted, key=key, expr=expr, allowed=allowed
             )
         for entry in self.config.cost_hot_entrypoints:
-            key = self._resolve_dotted(entry)
+            key = self.project.resolve_dotted(entry)
             if key is None:
-                hit = self._registry_hit(
-                    entry, "hot-entrypoints", "no such function"
-                )
-                if hit is not None:
-                    self.registry.append(hit)
+                self._stale(entry, "hot-entrypoints", "no such function")
                 continue
             self.hot_entries[key] = entry
             if key not in self.budgets:
-                hit = self._registry_hit(
+                self._stale(
                     entry, "hot-entrypoints", "hot entry has no budget"
                 )
-                if hit is not None:
-                    self.registry.append(hit)
 
     # ------------------------------------------------------------------
     # Closures with call-site binding
@@ -850,76 +776,40 @@ class CostAnalysis:
     def _map_vars(
         self, vars: Tuple[str, ...], call: _CostCall, callee: FunctionInfo
     ) -> Tuple[str, ...]:
-        params = _param_names(callee)
-        bound = bool(params) and params[0] in ("self", "cls")
-        positional = params[1:] if bound else params
         mapped: List[str] = []
         for v in vars:
             if not v.startswith("param:"):
                 mapped.append(v)
                 continue
-            name = v[len("param:"):]
-            cls: Optional[str] = "small"
-            found = False
-            for kw_name, kw_cls in call.kw_classes:
-                if kw_name == name:
-                    cls = kw_cls
-                    found = True
-                    break
-            if not found:
-                try:
-                    index = positional.index(name)
-                except ValueError:
-                    index = -1
-                if 0 <= index < len(call.arg_classes):
-                    cls = call.arg_classes[index]
-                else:
-                    cls = None  # defaulted parameter: no caller size
-            if cls is not None:
+            cls = passed_value(
+                callee, v[len("param:"):], call.arg_classes, call.kw_classes
+            )
+            if cls is not None:  # None: constant-sized or defaulted
                 mapped.append(cls)
         return tuple(mapped)
 
-    def _cost_closure(self, key: str) -> Tuple[Term, ...]:
-        cached = self._closure_cache.get(key)
-        if cached is not None:
-            return cached
-        self._closure_cache[key] = ()  # cycle guard
-        harvest = self._harvests.get(key)
-        out: List[Term] = list(harvest.charges) if harvest else []
-        if harvest is not None:
-            for call in harvest.calls:
-                for target in call.targets:
-                    callee = self.project.functions.get(target)
-                    if callee is None:
-                        continue
-                    for term in self._cost_closure(target):
-                        mapped = self._map_vars(term.vars, call, callee)
-                        chain = (callee.qualname,) + term.chain
-                        if len(chain) > _VIA_LIMIT:
-                            chain = chain[:_VIA_LIMIT]
-                        out.append(
-                            Term(
-                                vars=tuple(sorted(call.prefix + mapped)),
-                                kind=term.kind,
-                                what=term.what,
-                                site=term.site,
-                                chain=chain,
-                            )
-                        )
-        by_vars: Dict[Tuple[str, ...], Term] = {}
-        for term in sorted(
-            out,
-            key=lambda t: (t.vars, t.site.module, t.site.line, t.what),
-        ):
-            by_vars.setdefault(term.vars, term)
-        pruned = sorted(
-            by_vars.values(), key=lambda t: (-t.degree, t.vars)
-        )[:_TERM_LIMIT]
-        closed = tuple(
-            sorted(pruned, key=lambda t: (t.vars, t.site.line))
+    def _harvest_of(self, key: str) -> _FnCost:
+        return self._harvests.get(key) or _FnCost()
+
+    def _resolved_calls(self, key: str) -> List[Tuple[_CostCall, str]]:
+        """(call, callee key) pairs a cost closure follows."""
+        return [
+            (call, target)
+            for call in self._harvest_of(key).calls
+            for target in call.targets
+            if target in self.project.functions
+        ]
+
+    def _bind_term(self, term: Term, call: _CostCall, target: str) -> Term:
+        callee = self.project.functions[target]
+        mapped = self._map_vars(term.vars, call, callee)
+        return Term(
+            vars=tuple(sorted(call.prefix + mapped)),
+            kind=term.kind,
+            what=term.what,
+            site=term.site,
+            chain=via(callee, term.chain),
         )
-        self._closure_cache[key] = closed
-        return closed
 
     # ------------------------------------------------------------------
     # RPL1004: repeated identical calls to pure costly functions
@@ -955,29 +845,25 @@ class CostAnalysis:
         callee: FunctionInfo,
     ) -> Tuple[str, ...]:
         """Rewrite a child-frame argument signature into this frame."""
-        params = _param_names(callee)
-        bound = bool(params) and params[0] in ("self", "cls")
-        positional = params[1:] if bound else params
-        mapping: Dict[str, str] = {}
-        for name, text in call.kw_texts:
-            mapping[name] = text
-        for index, name in enumerate(positional):
-            if name not in mapping and index < len(call.arg_texts):
-                mapping[name] = call.arg_texts[index]
+        bound = param_names(callee)[:1] in (["self"], ["cls"])
         out: List[str] = []
         for arg in args:
             recv = arg.startswith("@")
             text = arg[1:] if recv else arg
             head, dot, rest = text.partition(".")
-            if text in mapping:
-                text = mapping[text]
+            passed = passed_value(callee, text, call.arg_texts, call.kw_texts)
+            passed_head = passed_value(
+                callee, head, call.arg_texts, call.kw_texts
+            )
+            if passed is not None:
+                text = passed
             elif head == "self" and bound and call.recv_text:
                 # Rebase the child frame's instance onto this call's
                 # receiver (`self._loads_of` via `self._mark_verified`
                 # keeps `self`; via `shard.check` it becomes `shard.`).
                 text = call.recv_text + (dot + rest if dot else "")
-            elif dot and head in mapping:
-                text = mapping[head] + dot + rest
+            elif dot and passed_head is not None:
+                text = passed_head + dot + rest
             else:
                 text = f"{callee.simple_name}::{text}"
             out.append(f"@{text}" if recv else text)
@@ -1072,10 +958,6 @@ class CostAnalysis:
     # ------------------------------------------------------------------
     # Driver
     # ------------------------------------------------------------------
-    def _suppressed(self, rule_id: str, site: Site) -> bool:
-        module = self.project.modules.get(site.module)
-        return module is not None and module.suppressed(rule_id, site.line)
-
     def _hot_module_keys(self) -> Set[str]:
         keys: Set[str] = set()
         for fn in self.project.iter_functions():
@@ -1090,11 +972,8 @@ class CostAnalysis:
         self._pure = pure_analysis(self.project, self.config)
         for fn in self.project.iter_functions():
             module = self.project.modules[fn.module]
-            scanner = FunctionScanner(self.graph, fn, module)
-            for stmt in fn.node.body:
-                scanner.visit(stmt)
             self._harvests[fn.key] = _CostScanner(
-                self, fn, module, scanner
+                self, fn, module, self.graph.scanner(fn, module)
             ).scan()
 
         # RPL1001: closed cost vs declared budget.
@@ -1103,14 +982,14 @@ class CostAnalysis:
             for term in self._cost_closure(key):
                 if term.degree <= budget.allowed:
                     continue
-                if self._suppressed("RPL1001", term.site):
+                if suppressed(self.project, "RPL1001", term.site):
                     continue
                 self.budget_hits.append(BudgetHit(budget=budget, term=term))
 
         # RPL1002: local same-family products, project-wide.
         for fn_key in sorted(self._harvests):
             for site, vars, what in self._harvests[fn_key].quads:
-                if self._suppressed("RPL1002", site):
+                if suppressed(self.project, "RPL1002", site):
                     continue
                 self.quads.append(
                     QuadHit(site=site, fn_key=fn_key, vars=vars, what=what)
@@ -1128,7 +1007,7 @@ class CostAnalysis:
             if harvest is None:
                 continue
             for site, bound, what in harvest.allocs:
-                if self._suppressed("RPL1003", site):
+                if suppressed(self.project, "RPL1003", site):
                     continue
                 self.allocs.append(
                     AllocHit(
@@ -1152,13 +1031,13 @@ class CostAnalysis:
             hit
             for hit in self.repeats
             if hit.fn_key in report_scope
-            and not self._suppressed("RPL1004", hit.site)
+            and not suppressed(self.project, "RPL1004", hit.site)
         ]
 
         self.registry = [
             hit
             for hit in self.registry
-            if not self._suppressed("RPL1005", hit.site)
+            if not suppressed(self.project, "RPL1005", hit.site)
         ]
 
         self.budget_hits.sort(
@@ -1191,20 +1070,175 @@ class CostAnalysis:
 
 
 # ----------------------------------------------------------------------
-# Shared entry point for the rule module and the repro-cost CLI
+# Shared entry point and the ``repro-lint --report cost`` renderers
 # ----------------------------------------------------------------------
-_COST_CACHE: Dict[Tuple[int, int], CostAnalysis] = {}
-_CACHE_LIMIT = 8
-
-
 def cost_analysis(project: Project, config: LintConfig) -> CostAnalysis:
     """Run (or reuse) the COST analysis for one project + config."""
-    key = (id(project), hash(config))
-    cached = _COST_CACHE.get(key)
-    if cached is not None and cached.project is project:
-        return cached
-    if len(_COST_CACHE) >= _CACHE_LIMIT:
-        _COST_CACHE.clear()
-    analysis = CostAnalysis(project, shared_callgraph(project), config).run()
-    _COST_CACHE[key] = analysis
-    return analysis
+    return shared_analysis("cost", CostAnalysis, project, config)
+
+
+def render_text(analysis: CostAnalysis) -> str:
+    lines: List[str] = []
+    lines.append("cost budgets")
+    lines.append("============")
+    if not analysis.budgets:
+        lines.append("  (no budgets registered)")
+    over = {hit.budget.key for hit in analysis.budget_hits}
+    for key in sorted(
+        analysis.budgets, key=lambda k: analysis.budgets[k].entry
+    ):
+        budget = analysis.budgets[key]
+        closed = render_terms(analysis._cost_closure(key))
+        verdict = "OVER" if key in over else "ok"
+        hot = "  [hot]" if key in analysis.hot_entries else ""
+        lines.append(
+            f"  {budget.entry}  budget O({budget.expr})  "
+            f"closed {closed}  {verdict}{hot}"
+        )
+    if analysis.budget_hits:
+        lines.append("")
+        lines.append(f"BUDGET VIOLATIONS: {len(analysis.budget_hits)}")
+        for hit in analysis.budget_hits:
+            term = hit.term
+            via = " via " + " -> ".join(term.chain) if term.chain else ""
+            lines.append(
+                f"  {term.site.module}:{term.site.line}  "
+                f"{hit.budget.entry}  {render_terms([term])} > "
+                f"O({hit.budget.expr})  [{term.kind}] {term.what}{via}"
+            )
+    lines.append("")
+    lines.append("hot scope")
+    lines.append("=========")
+    if not analysis.hot_entries:
+        lines.append("  (no hot entry points registered)")
+    for key in sorted(
+        analysis.hot_entries, key=lambda k: analysis.hot_entries[k]
+    ):
+        lines.append(f"  hot entry {analysis.hot_entries[key]}")
+    lines.append(f"  reachable functions: {len(analysis.hot_scope)}")
+    lines.append("")
+    lines.append("quadratic products")
+    lines.append("==================")
+    if not analysis.quads:
+        lines.append("  (no same-family quadratic is provable)")
+    for quad in analysis.quads:
+        lines.append(
+            f"  {quad.site.module}:{quad.site.line}  "
+            f"{fn_label(analysis.project, quad.fn_key)}  "
+            f"{'*'.join(quad.vars)}  {quad.what}"
+        )
+    lines.append("")
+    lines.append("hot-path allocations")
+    lines.append("====================")
+    if not analysis.allocs:
+        lines.append("  (no N-sized allocation on a hot path)")
+    for alloc in analysis.allocs:
+        origin = (
+            f"from {fn_label(analysis.project, alloc.entry)}"
+            if alloc.entry
+            else "hot-path module"
+        )
+        lines.append(
+            f"  {alloc.site.module}:{alloc.site.line}  "
+            f"{fn_label(analysis.project, alloc.fn_key)}  [{alloc.bound}] "
+            f"{alloc.what}  ({origin})"
+        )
+    lines.append("")
+    lines.append("repeated recomputation")
+    lines.append("======================")
+    if not analysis.repeats:
+        lines.append("  (no pure costly call repeats with fixed args)")
+    for repeat in analysis.repeats:
+        lines.append(
+            f"  {repeat.site.module}:{repeat.site.line}  "
+            f"{fn_label(analysis.project, repeat.fn_key)}  computes "
+            f"{fn_label(analysis.project, repeat.callee)}({repeat.args}) "
+            f"{repeat.count}x"
+        )
+    lines.append("")
+    lines.append("registry health")
+    lines.append("===============")
+    if not analysis.registry:
+        lines.append("  (every registry entry resolves and is budgeted)")
+    for stale in analysis.registry:
+        lines.append(
+            f"  [{stale.table}] entry {stale.entry!r}: {stale.detail}"
+        )
+    return "\n".join(lines)
+
+
+def render_json(analysis: CostAnalysis) -> str:
+    over = {hit.budget.key for hit in analysis.budget_hits}
+    payload = {
+        "budgets": [
+            {
+                "entry": budget.entry,
+                "budget": budget.expr,
+                "closed": render_terms(analysis._cost_closure(key)),
+                "ok": key not in over,
+                "hot": key in analysis.hot_entries,
+            }
+            for key, budget in sorted(
+                analysis.budgets.items(), key=lambda kv: kv[1].entry
+            )
+        ],
+        "budget_violations": [
+            {
+                "entry": hit.budget.entry,
+                "budget": hit.budget.expr,
+                "cost": render_terms([hit.term]),
+                "module": hit.term.site.module,
+                "line": hit.term.site.line,
+                "kind": hit.term.kind,
+                "what": hit.term.what,
+                "via": list(hit.term.chain),
+            }
+            for hit in analysis.budget_hits
+        ],
+        "hot_entries": sorted(analysis.hot_entries.values()),
+        "hot_reachable_count": len(analysis.hot_scope),
+        "quadratics": [
+            {
+                "module": quad.site.module,
+                "line": quad.site.line,
+                "function": fn_label(analysis.project, quad.fn_key),
+                "vars": list(quad.vars),
+                "what": quad.what,
+            }
+            for quad in analysis.quads
+        ],
+        "hot_allocations": [
+            {
+                "module": alloc.site.module,
+                "line": alloc.site.line,
+                "function": fn_label(analysis.project, alloc.fn_key),
+                "bound": alloc.bound,
+                "what": alloc.what,
+                "entry": (
+                    fn_label(analysis.project, alloc.entry) if alloc.entry else None
+                ),
+            }
+            for alloc in analysis.allocs
+        ],
+        "repeats": [
+            {
+                "module": repeat.site.module,
+                "line": repeat.site.line,
+                "function": fn_label(analysis.project, repeat.fn_key),
+                "callee": fn_label(analysis.project, repeat.callee),
+                "args": repeat.args,
+                "count": repeat.count,
+            }
+            for repeat in analysis.repeats
+        ],
+        "stale_registry": [
+            {
+                "entry": stale.entry,
+                "table": stale.table,
+                "detail": stale.detail,
+            }
+            for stale in analysis.registry
+        ],
+        "violations": analysis.violation_count,
+    }
+    return json.dumps(payload, indent=2, sort_keys=True)

@@ -31,12 +31,13 @@ trace.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field as dc_field
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from .callgraph import CallGraph, FunctionScanner, _annotation_class
+from .callgraph import CallGraph, FunctionScanner, shared_analysis
 from .config import LintConfig
-from .project import FunctionInfo, ModuleInfo, Project
+from .interp import FrameInterpreter, SummaryAnalysis
+from .project import FunctionInfo, ModuleInfo, Project, is_self
 
 # ----------------------------------------------------------------------
 # Taint domain
@@ -205,11 +206,7 @@ def compute_locksets(
     graph: CallGraph, fn: FunctionInfo
 ) -> LocksetAnalysis:
     """Lockset analysis of one function, pre-typed by the call graph."""
-    module = graph.project.modules[fn.module]
-    scanner = FunctionScanner(graph, fn, module)
-    for stmt in fn.node.body:
-        scanner.visit(stmt)  # populate local types (flow-insensitive)
-    analysis = LocksetAnalysis(scanner)
+    analysis = LocksetAnalysis(graph.scanner(fn, graph.project.modules[fn.module]))
     analysis.run(fn.node.body)
     return analysis
 
@@ -217,8 +214,10 @@ def compute_locksets(
 # ----------------------------------------------------------------------
 # Taint propagation
 # ----------------------------------------------------------------------
-class _FunctionFlow:
+class _FunctionFlow(FrameInterpreter[TaintSet]):
     """Abstract interpreter for one function (or module) body."""
+
+    analysis: "DataflowAnalysis"
 
     def __init__(
         self,
@@ -227,38 +226,8 @@ class _FunctionFlow:
         module: ModuleInfo,
         report: bool,
     ) -> None:
-        self.analysis = analysis
-        self.fn = fn
-        self.module = module
-        self.report = report
-        self.scanner = FunctionScanner(analysis.graph, fn, module)
-        body = fn.node.body if fn is not None else module.tree.body
-        for stmt in body:
-            if fn is None and isinstance(
-                stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ):
-                continue
-            self.scanner.visit(stmt)
-        self.env: Dict[str, TaintSet] = {}
+        super().__init__(analysis, fn, module, report)
         self.dict_env: Dict[str, Dict[str, TaintSet]] = {}
-        if fn is not None:
-            self._seed_params(fn)
-
-    def _seed_params(self, fn: FunctionInfo) -> None:
-        """Parameters are trusted at their own boundary: a Generator-
-        annotated parameter is checked at every *call site*, so inside
-        the function it counts as seed-derived; same for Clock."""
-        for name, cls in self.analysis.graph.param_types.get(
-            fn.key, {}
-        ).items():
-            if cls in RNG_SINK_ANNOTATIONS:
-                self.env[name] = frozenset(
-                    {Taint(RNG, SEEDED, f"{cls}-annotated parameter")}
-                )
-            elif cls in CLOCK_SINK_ANNOTATIONS:
-                self.env[name] = frozenset(
-                    {Taint(CLOCK, CLOCK_OK, "Clock-annotated parameter")}
-                )
 
     # -- expression evaluation ------------------------------------------
     def eval(self, node: Optional[ast.AST]) -> TaintSet:
@@ -267,7 +236,7 @@ class _FunctionFlow:
         if isinstance(node, ast.Name):
             if node.id in self.env:
                 return self.env[node.id]
-            return self._global_taint(node.id)
+            return self._global(node.id) or EMPTY
         if isinstance(node, ast.Constant):
             if isinstance(node.value, (int,)) and not isinstance(
                 node.value, bool
@@ -303,10 +272,6 @@ class _FunctionFlow:
             return taints
         return EMPTY
 
-    def _global_taint(self, name: str) -> TaintSet:
-        dotted = self.module.imports.get(name, name)
-        return self.analysis.lookup_global(self.module.name, dotted)
-
     def _eval_attribute(self, node: ast.Attribute) -> TaintSet:
         # Instance/dataclass field read: holder.rng, self._rng, ...
         receiver = self.scanner._value_type(node.value)
@@ -315,16 +280,16 @@ class _FunctionFlow:
             if found:
                 return found
         if (
-            isinstance(node.value, ast.Name)
-            and node.value.id == "self"
+            is_self(node.value)
             and self.fn is not None
             and self.fn.class_name is not None
         ):
-            return self.analysis.lookup_field(self.fn.class_name, node.attr)
+            found = self.analysis.lookup_field(self.fn.class_name, node.attr)
+            return found or EMPTY
         # Module-global read through an import alias (mod.GLOBAL).
         dotted = self.module.resolve(node)
         if dotted is not None:
-            return self.analysis.lookup_global(self.module.name, dotted)
+            return self.analysis.lookup_global(self.module.name, dotted) or EMPTY
         return EMPTY
 
     def _eval_subscript(self, node: ast.Subscript) -> TaintSet:
@@ -339,11 +304,7 @@ class _FunctionFlow:
 
     def _eval_call(self, node: ast.Call) -> TaintSet:
         func = node.func
-        dotted = (
-            self.module.resolve(func)
-            if isinstance(func, (ast.Name, ast.Attribute))
-            else None
-        )
+        dotted = self.module.resolve(func)
         taints = self._rng_source(node, func, dotted)
         if taints is None:
             taints = self._project_call(node, func, dotted)
@@ -436,7 +397,7 @@ class _FunctionFlow:
         if targets:
             out: TaintSet = EMPTY
             for key in targets:
-                out |= self.analysis.return_taints.get(key, EMPTY)
+                out |= self.analysis.returns.get(key, EMPTY)
             return out
         return None
 
@@ -456,38 +417,9 @@ class _FunctionFlow:
 
     # -- sink checks -----------------------------------------------------
     def _check_call_args(self, node: ast.Call) -> None:
-        targets = list(self.scanner._resolve_call_targets(node))
-        if not targets:
-            return
-        for key in targets:
-            fn = self.analysis.project.functions.get(key)
-            if fn is None:
-                continue
-            self._check_against(node, fn)
-
-    def _bound_args(
-        self, node: ast.Call, callee: FunctionInfo
-    ) -> List[Tuple[str, ast.AST]]:
-        args_spec = callee.node.args
-        names = [a.arg for a in (*args_spec.posonlyargs, *args_spec.args)]
-        if names and names[0] in ("self", "cls"):
-            names = names[1:]
-        bound: List[Tuple[str, ast.AST]] = []
-        for i, arg in enumerate(node.args):
-            if isinstance(arg, ast.Starred):
-                break
-            if i < len(names):
-                bound.append((names[i], arg))
-        kw_names = {a.arg for a in args_spec.kwonlyargs} | set(names)
-        for keyword in node.keywords:
-            if keyword.arg is not None and keyword.arg in kw_names:
-                bound.append((keyword.arg, keyword.value))
-        return bound
-
-    def _check_against(self, node: ast.Call, callee: FunctionInfo) -> None:
-        param_types = self.analysis.graph.param_types.get(callee.key, {})
-        for param, expr in self._bound_args(node, callee):
-            annotation = param_types.get(param)
+        param_types = self.analysis.graph.param_types
+        for callee, param, expr in self._call_bindings(node):
+            annotation = param_types.get(callee.key, {}).get(param)
             if annotation is None:
                 continue
             taints = self.eval(expr)
@@ -514,79 +446,29 @@ class _FunctionFlow:
                     )
                 )
 
-    # -- statement walk --------------------------------------------------
-    def run(self) -> None:
-        body = (
-            self.fn.node.body if self.fn is not None else self.module.tree.body
-        )
-        self.walk(body)
+    # -- transfer functions ----------------------------------------------
+    def visit_assign(self, stmt: ast.Assign) -> None:
+        self._assign(stmt.targets, stmt.value)
 
-    def walk(self, stmts: Iterable[ast.stmt]) -> None:
-        for stmt in stmts:
-            self._walk_stmt(stmt)
+    def visit_ann_assign(self, stmt: ast.AnnAssign) -> None:
+        if stmt.value is not None:
+            self._assign([stmt.target], stmt.value)
 
-    def _walk_stmt(self, stmt: ast.stmt) -> None:
-        if isinstance(stmt, ast.Assign):
-            self._assign(stmt.targets, stmt.value)
-        elif isinstance(stmt, ast.AnnAssign):
-            if stmt.value is not None:
-                self._assign([stmt.target], stmt.value)
-        elif isinstance(stmt, ast.AugAssign):
-            taints = self.eval(stmt.value)
-            if isinstance(stmt.target, ast.Name) and taints:
-                self.env[stmt.target.id] = (
-                    self.env.get(stmt.target.id, EMPTY) | taints
-                )
-        elif isinstance(stmt, ast.Return):
-            taints = self.eval(stmt.value)
-            if self.fn is not None and taints:
-                self.analysis.merge_return(self.fn.key, taints)
-        elif isinstance(stmt, ast.Expr):
-            self.eval(stmt.value)
-        elif isinstance(stmt, ast.If):
-            self.eval(stmt.test)
-            before = dict(self.env)
-            self.walk(stmt.body)
-            after_body = self.env
-            self.env = dict(before)
-            self.walk(stmt.orelse)
-            merged = dict(after_body)
-            for name, taints in self.env.items():
-                merged[name] = merged.get(name, EMPTY) | taints
-            self.env = merged
-        elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-            iter_taints = self.eval(stmt.iter)
-            if isinstance(stmt.target, ast.Name) and iter_taints:
-                self.env[stmt.target.id] = iter_taints
-            self.walk(stmt.body)
-            self.walk(stmt.orelse)
-        elif isinstance(stmt, ast.While):
-            self.eval(stmt.test)
-            self.walk(stmt.body)
-            self.walk(stmt.orelse)
-        elif isinstance(stmt, (ast.With, ast.AsyncWith)):
-            for item in stmt.items:
-                taints = self.eval(item.context_expr)
-                if isinstance(item.optional_vars, ast.Name) and taints:
-                    self.env[item.optional_vars.id] = taints
-            self.walk(stmt.body)
-        elif isinstance(stmt, ast.Try):
-            self.walk(stmt.body)
-            for handler in stmt.handlers:
-                self.walk(handler.body)
-            self.walk(stmt.orelse)
-            self.walk(stmt.finalbody)
-        elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            if self.fn is not None:
-                # Nested def: approximate as inline (same thread, same
-                # closure), matching the call-graph's treatment.
-                self.walk(stmt.body)
-        elif isinstance(stmt, ast.ClassDef):
-            pass
-        else:
-            for child in ast.iter_child_nodes(stmt):
-                if isinstance(child, ast.expr):
-                    self.eval(child)
+    def visit_aug_assign(self, stmt: ast.AugAssign) -> None:
+        taints = self.eval(stmt.value)
+        if isinstance(stmt.target, ast.Name) and taints:
+            self.env[stmt.target.id] = (
+                self.env.get(stmt.target.id, EMPTY) | taints
+            )
+
+    def visit_return(self, stmt: ast.Return) -> None:
+        taints = self.eval(stmt.value)
+        if self.fn is not None and taints:
+            self.analysis.merge_return(self.fn.key, taints)
+
+    def bind_name(self, name: str, value: TaintSet) -> None:
+        if value:
+            self.env[name] = value
 
     def _assign(self, targets: List[ast.AST], value: ast.AST) -> None:
         # Tracked dict payload: d = {"rng": expr, ...}
@@ -619,15 +501,7 @@ class _FunctionFlow:
             if self.fn is None and taints:
                 self.analysis.merge_global(self.module.name, target.id, taints)
         elif isinstance(target, ast.Attribute):
-            receiver: Optional[str] = None
-            if (
-                isinstance(target.value, ast.Name)
-                and target.value.id == "self"
-                and self.fn is not None
-            ):
-                receiver = self.fn.class_name
-            else:
-                receiver = self.scanner._value_type(target.value)
+            receiver = self._store_receiver(target)
             if receiver is not None and taints:
                 self.analysis.merge_field(receiver, target.attr, taints)
         elif isinstance(target, ast.Subscript):
@@ -649,7 +523,7 @@ class _FunctionFlow:
                     self._assign_target(sub_target, value, taints)
 
 
-class DataflowAnalysis:
+class DataflowAnalysis(SummaryAnalysis[TaintSet]):
     """Whole-program taint propagation to a fixpoint.
 
     Summaries — per-function return taints, per-(class, field) taints,
@@ -659,63 +533,28 @@ class DataflowAnalysis:
     :class:`SinkHit` records for the RPL6xx rules.
     """
 
-    MAX_ITERATIONS = 4
+    frame = _FunctionFlow
+    bottom = EMPTY
 
     def __init__(
         self, project: Project, graph: CallGraph, config: LintConfig
     ) -> None:
-        self.project = project
-        self.graph = graph
-        self.config = config
-        self.return_taints: Dict[str, TaintSet] = {}
-        self.field_taints: Dict[Tuple[str, str], TaintSet] = {}
-        self.global_taints: Dict[Tuple[str, str], TaintSet] = {}
+        super().__init__(project, graph, config)
         self.sink_hits: Set[SinkHit] = set()
-        self._changed = False
         self._clock_cache: Dict[str, bool] = {}
 
-    # -- summary tables --------------------------------------------------
-    def _merge(
-        self, table: Dict[Any, TaintSet], key: Any, taints: TaintSet
-    ) -> None:
-        old = table.get(key, EMPTY)
-        new = old | taints
-        if new != old:
-            table[key] = new
-            self._changed = True
+    def join(self, a: TaintSet, b: TaintSet) -> TaintSet:
+        return a | b
 
-    def merge_return(self, key: str, taints: TaintSet) -> None:
-        self._merge(self.return_taints, key, taints)
-
-    def merge_field(self, cls: str, attr: str, taints: TaintSet) -> None:
-        self._merge(self.field_taints, (cls, attr), taints)
-
-    def merge_global(self, module: str, name: str, taints: TaintSet) -> None:
-        self._merge(self.global_taints, (module, name), taints)
-
-    def lookup_field(self, cls: str, attr: str) -> TaintSet:
-        found = self.field_taints.get((cls, attr))
-        if found is not None:
-            return found
-        for info in self.project.classes_by_name.get(cls, ()):
-            for base in info.base_names:
-                found = self.field_taints.get((base, attr))
-                if found is not None:
-                    return found
-        return EMPTY
-
-    def lookup_global(self, current_module: str, dotted: str) -> TaintSet:
-        """Taint of a module-level symbol, resolving dotted imports."""
-        if "." not in dotted:
-            return self.global_taints.get((current_module, dotted), EMPTY)
-        for module_name in self.project.modules:
-            if dotted.startswith(module_name + "."):
-                remainder = dotted[len(module_name) + 1:]
-                if "." not in remainder:
-                    return self.global_taints.get(
-                        (module_name, remainder), EMPTY
-                    )
-        return EMPTY
+    def param_value(self, fn: FunctionInfo, param: str) -> Optional[TaintSet]:
+        cls = self.graph.param_types.get(fn.key, {}).get(param)
+        if cls in RNG_SINK_ANNOTATIONS:
+            return frozenset({Taint(RNG, SEEDED, f"{cls}-annotated parameter")})
+        if cls in CLOCK_SINK_ANNOTATIONS:
+            return frozenset(
+                {Taint(CLOCK, CLOCK_OK, "Clock-annotated parameter")}
+            )
+        return None
 
     def is_clock_class(self, cls_name: str) -> bool:
         """Whether a project class is (or transitively derives from) a
@@ -749,14 +588,14 @@ class DataflowAnalysis:
             args = ctor.node.args
             names = [a.arg for a in (*args.posonlyargs, *args.args)]
             return names[1:] if names and names[0] == "self" else names
-        info = self.project.dataclass_info(cls_name)
-        if info is None:
-            candidates = [
+        info = next(
+            (
                 c
                 for c in self.project.classes_by_name.get(cls_name, ())
                 if c.is_dataclass
-            ]
-            info = candidates[0] if candidates else None
+            ),
+            None,
+        )
         if info is not None:
             return [
                 item.target.id
@@ -766,64 +605,13 @@ class DataflowAnalysis:
             ]
         return []
 
-    # -- driver ----------------------------------------------------------
-    def _pass(self, report: bool) -> bool:
-        self._changed = False
-        for module in self.project.modules.values():
-            flow = _FunctionFlow(self, None, module, report)
-            flow.run()
-        for fn in self.project.iter_functions():
-            module = self.project.modules[fn.module]
-            flow = _FunctionFlow(self, fn, module, report)
-            flow.run()
-        return self._changed
-
-    def run(self) -> "DataflowAnalysis":
-        for _ in range(self.MAX_ITERATIONS):
-            if not self._pass(report=False):
-                break
-        self._pass(report=True)
-        return self
-
 
 # ----------------------------------------------------------------------
 # Shared entry points for the rule modules
 # ----------------------------------------------------------------------
-#: Cache key: id(project) — a Project is parsed once per engine run, so
-#: identity is stable for the lifetime of one lint invocation; entries
-#: are keyed weakly through the bounded size below.
-_ANALYSIS_CACHE: Dict[Tuple[int, int], DataflowAnalysis] = {}
-_GRAPH_CACHE: Dict[int, CallGraph] = {}
-_CACHE_LIMIT = 8
-
-
-def shared_callgraph(project: Project) -> CallGraph:
-    """One call graph per parsed project (rules share the build)."""
-    from .callgraph import build_callgraph
-
-    key = id(project)
-    graph = _GRAPH_CACHE.get(key)
-    if graph is None or graph.project is not project:
-        if len(_GRAPH_CACHE) >= _CACHE_LIMIT:
-            _GRAPH_CACHE.clear()
-        graph = build_callgraph(project)
-        _GRAPH_CACHE[key] = graph
-    return graph
-
-
 def analyze(project: Project, config: LintConfig) -> DataflowAnalysis:
     """Run (or reuse) the dataflow analysis for one project + config."""
-    key = (id(project), hash(config))
-    cached = _ANALYSIS_CACHE.get(key)
-    if cached is not None and cached.project is project:
-        return cached
-    if len(_ANALYSIS_CACHE) >= _CACHE_LIMIT:
-        _ANALYSIS_CACHE.clear()
-    analysis = DataflowAnalysis(
-        project, shared_callgraph(project), config
-    ).run()
-    _ANALYSIS_CACHE[key] = analysis
-    return analysis
+    return shared_analysis("dataflow", DataflowAnalysis, project, config)
 
 
 def pool_entry_keys(

@@ -40,18 +40,21 @@ be inferred are never flagged.
 from __future__ import annotations
 
 import ast
+import json
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from .callgraph import CallGraph, FunctionScanner, _annotation_class, _POOL_DISPATCH
-from .config import LintConfig
-from .dataflow import (
-    _LOCK_TYPE_NAMES,
-    LocksetAnalysis,
-    pool_entry_keys,
-    shared_callgraph,
+from .callgraph import (
+    _POOL_DISPATCH,
+    CallGraph,
+    FunctionScanner,
+    _annotation_class,
+    shared_analysis,
 )
-from .project import FunctionInfo, ModuleInfo, Project
+from .config import LintConfig
+from .core import CallClosure, Site, fn_label, site_of, strongly_connected
+from .dataflow import _LOCK_TYPE_NAMES, LocksetAnalysis, pool_entry_keys
+from .project import FunctionInfo, ModuleInfo, Project, self_attr
 
 #: Container methods that add elements.
 _GROW_METHODS = {"append", "add", "insert", "extend", "appendleft", "setdefault"}
@@ -65,16 +68,6 @@ _LOCK_WRAPPER_METHODS = {"acquire", "release", "locked", "__enter__", "__exit__"
 
 #: Container constructors recognised for module-level growth tracking.
 _CONTAINER_CTORS = {"list", "dict", "set", "deque", "OrderedDict", "defaultdict"}
-
-
-@dataclass(frozen=True)
-class Site:
-    """One source location inside one function."""
-
-    module: str   # dotted module name
-    line: int
-    col: int
-    fn_key: str   # "module:qualname" of the enclosing function
 
 
 @dataclass(frozen=True)
@@ -155,11 +148,7 @@ class QualifiedLocksets(LocksetAnalysis):
             receiver = scanner._value_type(expr.value)
             if receiver is not None:
                 return f"{receiver}.{expr.attr}"
-            dotted = scanner.module.resolve(expr)
-            if dotted is not None:
-                return f"{scanner.module.name}.{dotted}"
-            return None
-        if isinstance(expr, ast.Name):
+        elif isinstance(expr, ast.Name):
             if expr.id in self.local_names and scanner.fn is not None:
                 return f"{scanner.fn.key}.{expr.id}"
             return f"{scanner.module.name}.{expr.id}"
@@ -246,7 +235,6 @@ class _FunctionHarvest:
     """Everything one pass over a function body gives the analyses."""
 
     acquired: Set[str] = dc_field(default_factory=set)
-    acquisition_sites: List[Tuple[str, Site]] = dc_field(default_factory=list)
     #: blocking sites not already under a lock in this very function —
     #: the ones worth reporting at a locked *call site* upstream.
     unlocked_blocking: List[Tuple[str, str]] = dc_field(default_factory=list)
@@ -285,8 +273,22 @@ class FlowAnalysis:
         self.entry_keys: Set[str] = set()
 
         self._harvests: Dict[str, _FunctionHarvest] = {}
-        self._closure_cache: Dict[str, FrozenSet[str]] = {}
-        self._blocking_closure_cache: Dict[str, FrozenSet[Tuple[str, str]]] = {}
+        self._acquired_closure: CallClosure[str, None] = CallClosure(
+            own=lambda key: self._harvest_of(key).acquired,
+            calls=self._callees,
+            bind=lambda item, call, callee: item,
+            finish=frozenset,
+        )
+        #: (blocking call, origin qualname) pairs reachable from a
+        #: function that are *not* themselves under a lock at their site.
+        self._blocking_closure: CallClosure[Tuple[str, str], None] = (
+            CallClosure(
+                own=lambda key: self._harvest_of(key).unlocked_blocking,
+                calls=self._callees,
+                bind=lambda item, call, callee: item,
+                finish=frozenset,
+            )
+        )
         self._self_registering = self._find_self_registering()
         self._thread_targets: Set[str] = set()
         self._bounded_containers: Set[str] = set(
@@ -311,11 +313,7 @@ class FlowAnalysis:
                 for node in ast.walk(ctor.node):
                     if not isinstance(node, ast.Call):
                         continue
-                    dotted = (
-                        module.resolve(node.func)
-                        if isinstance(node.func, (ast.Name, ast.Attribute))
-                        else None
-                    )
+                    dotted = module.resolve(node.func)
                     if dotted is None or not dotted.endswith("register_shared"):
                         continue
                     if node.args and (
@@ -336,11 +334,7 @@ class FlowAnalysis:
                 continue
             value = stmt.value
             if isinstance(value, ast.Call):
-                dotted = (
-                    module.resolve(value.func)
-                    if isinstance(value.func, (ast.Name, ast.Attribute))
-                    else None
-                )
+                dotted = module.resolve(value.func)
                 simple = dotted.split(".")[-1] if dotted else None
                 if simple in _LOCK_TYPE_NAMES:
                     self.lock_kinds[f"{module.name}.{target.id}"] = simple
@@ -362,11 +356,7 @@ class FlowAnalysis:
         """Record the threading type of ``self.X = threading.Lock()``."""
         if not isinstance(stmt.value, ast.Call):
             return
-        dotted = (
-            module.resolve(stmt.value.func)
-            if isinstance(stmt.value.func, (ast.Name, ast.Attribute))
-            else None
-        )
+        dotted = module.resolve(stmt.value.func)
         simple = dotted.split(".")[-1] if dotted else None
         if simple not in _LOCK_TYPE_NAMES:
             # deque(maxlen=...) attribute bound harvest rides along here.
@@ -374,24 +364,14 @@ class FlowAnalysis:
                 kw.arg == "maxlen" for kw in stmt.value.keywords
             ):
                 for target in stmt.targets:
-                    if (
-                        isinstance(target, ast.Attribute)
-                        and isinstance(target.value, ast.Name)
-                        and target.value.id == "self"
-                        and fn.class_name is not None
-                    ):
-                        self._bounded_containers.add(
-                            f"{fn.class_name}.{target.attr}"
-                        )
+                    attr = self_attr(target)
+                    if attr is not None and fn.class_name is not None:
+                        self._bounded_containers.add(f"{fn.class_name}.{attr}")
             return
         for target in stmt.targets:
-            if (
-                isinstance(target, ast.Attribute)
-                and isinstance(target.value, ast.Name)
-                and target.value.id == "self"
-                and fn.class_name is not None
-            ):
-                self.lock_kinds[f"{fn.class_name}.{target.attr}"] = simple
+            attr = self_attr(target)
+            if attr is not None and fn.class_name is not None:
+                self.lock_kinds[f"{fn.class_name}.{attr}"] = simple
             elif isinstance(target, ast.Name):
                 self.lock_kinds[f"{fn.key}.{target.id}"] = simple
 
@@ -400,9 +380,7 @@ class FlowAnalysis:
     # ------------------------------------------------------------------
     def _scan_function(self, fn: FunctionInfo) -> None:
         module = self.project.modules[fn.module]
-        scanner = FunctionScanner(self.graph, fn, module)
-        for stmt in fn.node.body:
-            scanner.visit(stmt)
+        scanner = self.graph.scanner(fn, module)
         local_names = _assigned_names(fn.node)
         locks = QualifiedLocksets(scanner, local_names)
         locks.run(fn.node.body)
@@ -427,14 +405,6 @@ class FlowAnalysis:
 
         self._scan_lifecycle(fn, module, scanner, locks)
 
-    def _site(self, fn: FunctionInfo, node: ast.AST) -> Site:
-        return Site(
-            module=fn.module,
-            line=getattr(node, "lineno", fn.node.lineno),
-            col=getattr(node, "col_offset", 0),
-            fn_key=fn.key,
-        )
-
     def _record_acquisition(
         self,
         fn: FunctionInfo,
@@ -444,7 +414,6 @@ class FlowAnalysis:
         site: Site,
     ) -> None:
         harvest.acquired.add(token)
-        harvest.acquisition_sites.append((token, site))
         for prior in held:
             self._record_edge(prior, token, site)
 
@@ -472,7 +441,7 @@ class FlowAnalysis:
             token = locks.lock_token(item.context_expr)
             if token is None:
                 continue
-            site = self._site(fn, item.context_expr)
+            site = site_of(fn, item.context_expr)
             self._record_acquisition(fn, harvest, token, held, site)
             held.add(token)
 
@@ -486,7 +455,7 @@ class FlowAnalysis:
         node: ast.Call,
     ) -> None:
         held = locks.held_at(node)
-        site = self._site(fn, node)
+        site = site_of(fn, node)
         func = node.func
 
         # Explicit acquire() outside a with-block: an order-graph edge.
@@ -519,7 +488,7 @@ class FlowAnalysis:
                 )
 
         # Pool dispatch / thread construction: escapes + entry points.
-        self._scan_escape(fn, scanner, local_names, node, site)
+        self._scan_escape(fn, scanner, node)
 
         # Container growth/shrink through method calls.
         self._scan_method_growth(fn, scanner, local_names, node, site)
@@ -528,12 +497,7 @@ class FlowAnalysis:
     # RPL803: thread escape
     # ------------------------------------------------------------------
     def _scan_escape(
-        self,
-        fn: FunctionInfo,
-        scanner: FunctionScanner,
-        local_names: FrozenSet[str],
-        node: ast.Call,
-        site: Site,
+        self, fn: FunctionInfo, scanner: FunctionScanner, node: ast.Call
     ) -> None:
         func = node.func
         escaping: List[ast.AST] = []
@@ -570,7 +534,7 @@ class FlowAnalysis:
         )
 
         for expr in escaping:
-            self._check_escape(fn, scanner, expr, site)
+            self._check_escape(fn, scanner, expr)
 
     def _is_thread_ctor(
         self, scanner: FunctionScanner, node: ast.Call
@@ -632,11 +596,7 @@ class FlowAnalysis:
         return None
 
     def _check_escape(
-        self,
-        fn: FunctionInfo,
-        scanner: FunctionScanner,
-        expr: ast.AST,
-        site: Site,
+        self, fn: FunctionInfo, scanner: FunctionScanner, expr: ast.AST
     ) -> None:
         cls = scanner._value_type(expr)
         if cls is None or cls not in self.project.classes_by_name:
@@ -654,13 +614,9 @@ class FlowAnalysis:
         ):
             return
         desc = scanner.module.resolve(expr) or cls
-        escape_site = Site(
-            module=fn.module,
-            line=getattr(expr, "lineno", site.line),
-            col=getattr(expr, "col_offset", site.col),
-            fn_key=fn.key,
+        self.escapes.append(
+            EscapeHit(site=site_of(fn, expr), value=desc, cls=cls)
         )
-        self.escapes.append(EscapeHit(site=escape_site, value=desc, cls=cls))
 
     # ------------------------------------------------------------------
     # RPL805: container growth
@@ -729,7 +685,7 @@ class FlowAnalysis:
                 local_names,
                 token,
                 "[]=",
-                self._site(fn, target),
+                site_of(fn, target),
             )
 
     def _scan_delete(
@@ -835,7 +791,7 @@ class FlowAnalysis:
                     if spec is not None:
                         self.leaks.append(
                             LeakHit(
-                                site=self._site(fn, node),
+                                site=site_of(fn, node),
                                 resource=spec.creator,
                                 creator=spec.creator,
                                 kind="never-released",
@@ -901,7 +857,7 @@ class FlowAnalysis:
                         transferred = True
         if used_as_context or transferred:
             return
-        site = self._site(fn, creation)
+        site = site_of(fn, creation)
         if not releases:
             self.leaks.append(
                 LeakHit(
@@ -961,7 +917,7 @@ class FlowAnalysis:
             if not matching:
                 self.leaks.append(
                     LeakHit(
-                        site=self._site(fn, call),
+                        site=site_of(fn, call),
                         resource=token,
                         creator="acquire",
                         kind="acquire-no-release",
@@ -971,7 +927,7 @@ class FlowAnalysis:
             elif not any(id(rel) in finally_nodes for rel in matching):
                 self.leaks.append(
                     LeakHit(
-                        site=self._site(fn, call),
+                        site=site_of(fn, call),
                         resource=token,
                         creator="acquire",
                         kind="acquire-no-finally",
@@ -982,35 +938,11 @@ class FlowAnalysis:
     # ------------------------------------------------------------------
     # Interprocedural closures
     # ------------------------------------------------------------------
-    def _acquired_closure(self, key: str) -> FrozenSet[str]:
-        cached = self._closure_cache.get(key)
-        if cached is not None:
-            return cached
-        self._closure_cache[key] = frozenset()  # cycle guard
-        harvest = self._harvests.get(key)
-        result: Set[str] = set(harvest.acquired) if harvest else set()
-        for callee in self.graph.edges.get(key, ()):
-            result |= self._acquired_closure(callee)
-        frozen = frozenset(result)
-        self._closure_cache[key] = frozen
-        return frozen
+    def _harvest_of(self, key: str) -> _FunctionHarvest:
+        return self._harvests.get(key) or _FunctionHarvest()
 
-    def _blocking_closure(self, key: str) -> FrozenSet[Tuple[str, str]]:
-        """(blocking call, origin qualname) pairs reachable from ``key``
-        that are *not* themselves under a lock at their own site."""
-        cached = self._blocking_closure_cache.get(key)
-        if cached is not None:
-            return cached
-        self._blocking_closure_cache[key] = frozenset()  # cycle guard
-        harvest = self._harvests.get(key)
-        result: Set[Tuple[str, str]] = (
-            set(harvest.unlocked_blocking) if harvest else set()
-        )
-        for callee in self.graph.edges.get(key, ()):
-            result |= self._blocking_closure(callee)
-        frozen = frozenset(result)
-        self._blocking_closure_cache[key] = frozen
-        return frozen
+    def _callees(self, key: str) -> List[Tuple[None, str]]:
+        return [(None, callee) for callee in self.graph.edges.get(key, ())]
 
     def _interprocedural_pass(self) -> None:
         for key, harvest in sorted(self._harvests.items()):
@@ -1043,7 +975,7 @@ class FlowAnalysis:
                 continue
             adjacency.setdefault(held, set()).add(acquired)
             adjacency.setdefault(acquired, set())
-        for component in _strongly_connected(adjacency):
+        for component in strongly_connected(adjacency):
             if len(component) < 2:
                 continue
             tokens = tuple(sorted(component))
@@ -1078,25 +1010,11 @@ class FlowAnalysis:
     # ------------------------------------------------------------------
     # Entry points
     # ------------------------------------------------------------------
-    def _resolve_entry(self, dotted: str) -> Optional[str]:
-        for module_name, module in self.project.modules.items():
-            if not dotted.startswith(module_name + "."):
-                continue
-            remainder = dotted[len(module_name) + 1:]
-            parts = remainder.split(".")
-            if len(parts) == 1 and parts[0] in module.functions:
-                return module.functions[parts[0]].key
-            if len(parts) == 2 and parts[0] in module.classes:
-                method = module.classes[parts[0]].methods.get(parts[1])
-                if method is not None:
-                    return method.key
-        return None
-
     def _compute_entries(self) -> None:
         entries = set(pool_entry_keys(self.project, self.graph, self.config))
         entries |= self._thread_targets
         for dotted in self.config.flow_entrypoints:
-            key = self._resolve_entry(dotted)
+            key = self.project.resolve_dotted(dotted)
             if key is not None:
                 entries.add(key)
         self.entry_keys = entries
@@ -1162,71 +1080,128 @@ class FlowAnalysis:
         return self
 
 
-def _strongly_connected(
-    adjacency: Dict[str, Set[str]]
-) -> List[Set[str]]:
-    """Tarjan's SCC algorithm, iterative (no recursion limit games)."""
-    index: Dict[str, int] = {}
-    lowlink: Dict[str, int] = {}
-    on_stack: Set[str] = set()
-    stack: List[str] = []
-    components: List[Set[str]] = []
-    counter = [0]
-
-    for root in sorted(adjacency):
-        if root in index:
-            continue
-        work: List[Tuple[str, List[str]]] = [
-            (root, sorted(adjacency.get(root, ())))
-        ]
-        index[root] = lowlink[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, children = work[-1]
-            if children:
-                child = children.pop(0)
-                if child not in index:
-                    index[child] = lowlink[child] = counter[0]
-                    counter[0] += 1
-                    stack.append(child)
-                    on_stack.add(child)
-                    work.append((child, sorted(adjacency.get(child, ()))))
-                elif child in on_stack:
-                    lowlink[node] = min(lowlink[node], index[child])
-            else:
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    lowlink[parent] = min(lowlink[parent], lowlink[node])
-                if lowlink[node] == index[node]:
-                    component: Set[str] = set()
-                    while True:
-                        member = stack.pop()
-                        on_stack.discard(member)
-                        component.add(member)
-                        if member == node:
-                            break
-                    components.append(component)
-    return components
-
-
 # ----------------------------------------------------------------------
-# Shared entry point for the rule module and the repro-flow CLI
+# Shared entry point and the ``repro-lint --report flow`` renderers
 # ----------------------------------------------------------------------
-_FLOW_CACHE: Dict[Tuple[int, int], FlowAnalysis] = {}
-_CACHE_LIMIT = 8
-
-
 def flow_analysis(project: Project, config: LintConfig) -> FlowAnalysis:
     """Run (or reuse) the FLOW analysis for one project + config."""
-    key = (id(project), hash(config))
-    cached = _FLOW_CACHE.get(key)
-    if cached is not None and cached.project is project:
-        return cached
-    if len(_FLOW_CACHE) >= _CACHE_LIMIT:
-        _FLOW_CACHE.clear()
-    analysis = FlowAnalysis(project, shared_callgraph(project), config).run()
-    _FLOW_CACHE[key] = analysis
-    return analysis
+    return shared_analysis("flow", FlowAnalysis, project, config)
+
+
+def render_text(analysis: FlowAnalysis) -> str:
+    lines: List[str] = []
+    lines.append("lock-order graph")
+    lines.append("================")
+    all_tokens = sorted(
+        {t for edge in analysis.edges for t in edge}
+        | set(analysis.reentrant)
+        | {t for locks in analysis.entry_locks.values() for t in locks}
+    )
+    if not all_tokens:
+        lines.append("  (no locks found)")
+    for token in all_tokens:
+        kind = analysis.lock_kinds.get(token, "unknown")
+        lines.append(f"  lock {token}  [{kind}]")
+    if analysis.edges:
+        lines.append("")
+        lines.append("order edges (held -> acquired)")
+        for (held, acquired), sites in sorted(analysis.edges.items()):
+            site = sites[0]
+            lines.append(
+                f"  {held} -> {acquired}  "
+                f"({site.module}:{site.line} in {site.fn_key.split(':')[-1]})"
+            )
+    if analysis.reentrant:
+        lines.append("")
+        lines.append("reentrant self-edges (RLock, legal)")
+        for token, sites in sorted(analysis.reentrant.items()):
+            lines.append(f"  {token}  ({len(sites)} site(s))")
+    lines.append("")
+    lines.append("entry-point lock coverage")
+    if not analysis.entry_locks:
+        lines.append("  (no thread-pool entry points discovered)")
+    for key, locks in sorted(analysis.entry_locks.items()):
+        label = fn_label(analysis.project, key)
+        shown = ", ".join(locks) if locks else "(none)"
+        lines.append(f"  {label}: {shown}")
+    lines.append("")
+    if analysis.cycles:
+        lines.append(f"CYCLES: {len(analysis.cycles)}")
+        for cycle in analysis.cycles:
+            lines.append(
+                f"  {cycle.detail}  "
+                f"(first edge at {cycle.site.module}:{cycle.site.line})"
+            )
+    else:
+        lines.append("cycles: none")
+    lines.append("")
+    lines.append("thread-escape report")
+    lines.append("====================")
+    if not analysis.escapes:
+        lines.append("  (no unregistered values escape into worker threads)")
+    for escape in analysis.escapes:
+        lines.append(
+            f"  {escape.site.module}:{escape.site.line}  "
+            f"{escape.value!r} ({escape.cls})"
+        )
+    if analysis.blocking:
+        lines.append("")
+        lines.append("blocking under lock")
+        for hit in analysis.blocking:
+            via = f" via {hit.via}" if hit.via else ""
+            lines.append(
+                f"  {hit.site.module}:{hit.site.line}  {hit.call}{via}  "
+                f"holding {', '.join(hit.locks)}"
+            )
+    return "\n".join(lines)
+
+
+def render_json(analysis: FlowAnalysis) -> str:
+    payload = {
+        "locks": {
+            token: analysis.lock_kinds.get(token, "unknown")
+            for token in sorted(
+                {t for edge in analysis.edges for t in edge}
+                | set(analysis.reentrant)
+            )
+        },
+        "edges": [
+            {
+                "held": held,
+                "acquired": acquired,
+                "module": sites[0].module,
+                "line": sites[0].line,
+                "function": sites[0].fn_key,
+            }
+            for (held, acquired), sites in sorted(analysis.edges.items())
+        ],
+        "reentrant": sorted(analysis.reentrant),
+        "cycles": [
+            {"tokens": list(c.tokens), "detail": c.detail}
+            for c in analysis.cycles
+        ],
+        "entry_locks": {
+            fn_label(analysis.project, key): list(locks)
+            for key, locks in sorted(analysis.entry_locks.items())
+        },
+        "escapes": [
+            {
+                "module": e.site.module,
+                "line": e.site.line,
+                "value": e.value,
+                "class": e.cls,
+            }
+            for e in analysis.escapes
+        ],
+        "blocking": [
+            {
+                "module": b.site.module,
+                "line": b.site.line,
+                "call": b.call,
+                "locks": list(b.locks),
+                "via": b.via,
+            }
+            for b in analysis.blocking
+        ],
+    }
+    return json.dumps(payload, indent=2, sort_keys=True)

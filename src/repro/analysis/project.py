@@ -13,9 +13,24 @@ import ast
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Set,
+    Tuple,
+    TypeVar,
+    Union,
+)
 
 FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
+
+T = TypeVar("T")
 
 #: ``# repro-lint: disable=RPL101,RPL202`` (line) /
 #: ``disable-next-line=...`` / ``disable-file=...`` (whole file).
@@ -119,9 +134,64 @@ class Project:
                     self.functions[method.key] = method
             for fn in module.functions.values():
                 self.functions[fn.key] = fn
+        self._module_rank = {name: i for i, name in enumerate(self.modules)}
+        self._splits: Dict[str, Tuple[Tuple[ModuleInfo, List[str]], ...]] = {}
+        self._memo: Dict[Tuple[str, Hashable], Any] = {}
+
+    def memo(self, name: str, config: Hashable, build: Callable[[], T]) -> T:
+        """``build()`` once per (analysis name, config) for this project.
+
+        Every analysis family shares the project's parse, so results
+        live on the project itself and die with it.
+        """
+        key = (name, config)
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
+
+    def module_splits(
+        self, dotted: str
+    ) -> Tuple[Tuple[ModuleInfo, List[str]], ...]:
+        """Each project module ``dotted`` lies inside, with the rest of
+        the name split on dots, in module order."""
+        found = self._splits.get(dotted)
+        if found is None:
+            prefixes = []
+            end = dotted.find(".")
+            while end != -1:
+                module = self.modules.get(dotted[:end])
+                if module is not None:
+                    prefixes.append((module, dotted[end + 1:].split(".")))
+                end = dotted.find(".", end + 1)
+            prefixes.sort(key=lambda pair: self._module_rank[pair[0].name])
+            found = self._splits[dotted] = tuple(prefixes)
+        return found
+
+    def resolve_dotted(self, dotted: str) -> Optional[str]:
+        """``pkg.mod.fn`` / ``pkg.mod.Cls.meth`` to a function key."""
+        for module, parts in self.module_splits(dotted):
+            if len(parts) == 1 and parts[0] in module.functions:
+                return module.functions[parts[0]].key
+            if len(parts) == 2 and parts[0] in module.classes:
+                method = module.classes[parts[0]].methods.get(parts[1])
+                if method is not None:
+                    return method.key
+        return None
+
+    def owning_module(self, dotted: str) -> Optional[str]:
+        """Longest project module name the dotted entry points into."""
+        names = [module.name for module, _ in self.module_splits(dotted)]
+        return max(names, key=len) if names else None
 
     def iter_functions(self) -> Iterable[FunctionInfo]:
         return self.functions.values()
+
+    def iter_calls(self) -> Iterator[Tuple[ModuleInfo, ast.Call]]:
+        """Every call expression in the project, with its module."""
+        for module in self.modules.values():
+            for node in ast.walk(module.tree):
+                if isinstance(node, ast.Call):
+                    yield module, node
 
     def iter_classes(self) -> Iterable[ClassInfo]:
         for module in self.modules.values():
@@ -156,6 +226,18 @@ class Project:
 # ----------------------------------------------------------------------
 # Parsing
 # ----------------------------------------------------------------------
+def is_self(node: ast.AST) -> bool:
+    """Whether ``node`` is the bare name ``self``."""
+    return isinstance(node, ast.Name) and node.id == "self"
+
+
+def self_attr(node: ast.AST) -> Optional[str]:
+    """``attr`` when ``node`` is ``self.attr``, else ``None``."""
+    if isinstance(node, ast.Attribute) and is_self(node.value):
+        return node.attr
+    return None
+
+
 def _last_component(node: ast.AST) -> str:
     """The rightmost identifier of a decorator/base expression."""
     if isinstance(node, ast.Call):

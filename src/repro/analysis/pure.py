@@ -46,14 +46,32 @@ replay-invariant by design.
 from __future__ import annotations
 
 import ast
+import json
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from .callgraph import CallGraph, FunctionScanner, _annotation_class
+from .callgraph import (
+    CallGraph,
+    FunctionScanner,
+    _annotation_class,
+    shared_analysis,
+)
 from .config import LintConfig
-from .dataflow import _BIT_GENERATORS, shared_callgraph
-from .flow import Site
-from .project import FunctionInfo, ModuleInfo, Project
+from .core import (
+    CallClosure,
+    RegistryHit,
+    Site,
+    expr_text,
+    fn_label,
+    param_names,
+    passed_value,
+    registry_hit,
+    site_of,
+    suppressed,
+    via,
+)
+from .dataflow import _BIT_GENERATORS
+from .project import FunctionInfo, ModuleInfo, Project, self_attr
 
 #: Receiver methods that mutate the receiver in place.
 _MUTATING_METHODS = {
@@ -111,8 +129,6 @@ _CTOR_NAMES = ("__init__", "__post_init__")
 #: Decorator simple name marking a function as declared pure in source.
 PURE_MARKER = "declared_pure"
 
-_VIA_LIMIT = 8
-
 
 # ----------------------------------------------------------------------
 # Result records
@@ -167,16 +183,6 @@ class OrderHit:
     entry: str            # probe/purity root it is reachable from
 
 
-@dataclass(frozen=True)
-class RegistryHit:
-    """RPL905: a purity-registry entry that no longer resolves."""
-
-    entry: str
-    table: str            # "registry" | "probe-entrypoints" | ...
-    module: str           # the project module the entry points into
-    site: Site
-
-
 # ----------------------------------------------------------------------
 # Per-function harvest
 # ----------------------------------------------------------------------
@@ -203,14 +209,6 @@ class _Harvest:
     order_risks: List[Tuple[Site, str, str]] = dc_field(default_factory=list)
 
 
-def _expr_text(node: ast.AST, limit: int = 60) -> str:
-    try:
-        text = ast.unparse(node)
-    except Exception:  # pragma: no cover - unparse is total on 3.9+
-        text = type(node).__name__
-    return text if len(text) <= limit else text[: limit - 3] + "..."
-
-
 def _base_expr(node: ast.AST) -> ast.AST:
     """The base of an Attribute/Subscript chain (``self.a.b[0]`` → self)."""
     current = node
@@ -219,9 +217,13 @@ def _base_expr(node: ast.AST) -> ast.AST:
     return current
 
 
-def _param_names(fn: FunctionInfo) -> List[str]:
-    args = fn.node.args
-    return [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)]
+def _sorted_effects(effects: List[Effect]) -> Tuple[Effect, ...]:
+    return tuple(
+        sorted(
+            set(effects),
+            key=lambda e: (e.site.module, e.site.line, e.root, e.target),
+        )
+    )
 
 
 class _FrameRoots:
@@ -237,7 +239,7 @@ class _FrameRoots:
 
     def __init__(self, fn: FunctionInfo) -> None:
         self.fn = fn
-        self.params = set(_param_names(fn))
+        self.params = set(param_names(fn))
         self.assigns: Dict[str, List[ast.AST]] = {}
         self.roots: Dict[str, Optional[str]] = {}
         for name in self.params:
@@ -335,7 +337,12 @@ class PureAnalysis:
         self.registry: List[RegistryHit] = []
 
         self._harvests: Dict[str, _Harvest] = {}
-        self._closure_cache: Dict[str, Tuple[Effect, ...]] = {}
+        self._effect_closure: CallClosure[Effect, _CallRecord] = CallClosure(
+            own=lambda key: self._harvest_of(key).effects,
+            calls=self._resolved_calls,
+            bind=self._bind_effect,
+            finish=_sorted_effects,
+        )
         self._attr_container_types: Dict[Tuple[str, str], str] = {}
         self._allow_qualnames: Set[str] = set()
         self._allow_simple: Set[str] = set()
@@ -358,30 +365,6 @@ class PureAnalysis:
     # ------------------------------------------------------------------
     # Entry / registry resolution
     # ------------------------------------------------------------------
-    def _resolve_dotted(self, dotted: str) -> Optional[str]:
-        """``pkg.mod.fn`` / ``pkg.mod.Cls.meth`` to a function key."""
-        for module_name, module in self.project.modules.items():
-            if not dotted.startswith(module_name + "."):
-                continue
-            remainder = dotted[len(module_name) + 1:]
-            parts = remainder.split(".")
-            if len(parts) == 1 and parts[0] in module.functions:
-                return module.functions[parts[0]].key
-            if len(parts) == 2 and parts[0] in module.classes:
-                method = module.classes[parts[0]].methods.get(parts[1])
-                if method is not None:
-                    return method.key
-        return None
-
-    def _owning_module(self, dotted: str) -> Optional[str]:
-        """Longest project module name the dotted entry points into."""
-        best = None
-        for module_name in self.project.modules:
-            if dotted.startswith(module_name + "."):
-                if best is None or len(module_name) > len(best):
-                    best = module_name
-        return best
-
     def _resolve_tables(self) -> None:
         tables = (
             ("registry", self.config.pure_registry, self.pure_roots),
@@ -398,19 +381,13 @@ class PureAnalysis:
         )
         for table, entries, out in tables:
             for entry in entries:
-                key = self._resolve_dotted(entry)
+                key = self.project.resolve_dotted(entry)
                 if key is not None:
                     out[key] = entry
                     continue
-                module = self._owning_module(entry)
-                if module is None:
-                    continue  # entry targets a module outside this run
-                site = Site(module=module, line=1, col=0, fn_key="")
-                self.registry.append(
-                    RegistryHit(
-                        entry=entry, table=table, module=module, site=site
-                    )
-                )
+                hit = registry_hit(self.project, entry, table)
+                if hit is not None:
+                    self.registry.append(hit)
         # @declared_pure marks a root directly in source.
         for fn in self.project.iter_functions():
             if PURE_MARKER in fn.decorator_names():
@@ -429,14 +406,6 @@ class PureAnalysis:
     # ------------------------------------------------------------------
     # Harvest
     # ------------------------------------------------------------------
-    def _site(self, fn: FunctionInfo, node: ast.AST) -> Site:
-        return Site(
-            module=fn.module,
-            line=getattr(node, "lineno", fn.node.lineno),
-            col=getattr(node, "col_offset", 0),
-            fn_key=fn.key,
-        )
-
     def _harvest_ctor_container_types(self) -> None:
         """``self.x = {}`` / ``deque()`` writes type unannotated attrs."""
         for fn in self.project.iter_functions():
@@ -450,13 +419,10 @@ class PureAnalysis:
                 if ctype is None:
                     continue
                 for target in node.targets:
-                    if (
-                        isinstance(target, ast.Attribute)
-                        and isinstance(target.value, ast.Name)
-                        and target.value.id == "self"
-                    ):
+                    attr = self_attr(target)
+                    if attr is not None:
                         self._attr_container_types.setdefault(
-                            (fn.class_name, target.attr), ctype
+                            (fn.class_name, attr), ctype
                         )
 
     @staticmethod
@@ -493,9 +459,7 @@ class PureAnalysis:
 
     def _scan_function(self, fn: FunctionInfo) -> None:
         module = self.project.modules[fn.module]
-        scanner = FunctionScanner(self.graph, fn, module)
-        for stmt in fn.node.body:
-            scanner.visit(stmt)
+        scanner = self.graph.scanner(fn, module)
         roots = _FrameRoots(fn)
         harvest = self._harvests.setdefault(fn.key, _Harvest())
         global_names: Set[str] = set()
@@ -558,7 +522,7 @@ class PureAnalysis:
                         root=f"global:{target.id}",
                         target=target.id,
                         op="global-assign" if op != "augmented-assign" else op,
-                        site=self._site(fn, target),
+                        site=site_of(fn, target),
                     )
                 )
             return
@@ -572,9 +536,9 @@ class PureAnalysis:
         harvest.effects.append(
             Effect(
                 root=root,
-                target=_expr_text(target),
+                target=expr_text(target),
                 op=op,
-                site=self._site(fn, target),
+                site=site_of(fn, target),
             )
         )
 
@@ -588,7 +552,7 @@ class PureAnalysis:
         node: ast.Call,
     ) -> None:
         func = node.func
-        site = self._site(fn, node)
+        site = site_of(fn, node)
 
         # Mutating-method calls on pre-existing receivers.
         if isinstance(func, ast.Attribute) and func.attr in _MUTATING_METHODS:
@@ -602,7 +566,7 @@ class PureAnalysis:
                 harvest.effects.append(
                     Effect(
                         root=root,
-                        target=f"{_expr_text(func.value)}.{func.attr}(...)",
+                        target=f"{expr_text(func.value)}.{func.attr}(...)",
                         op="mutating-call",
                         site=site,
                     )
@@ -724,7 +688,7 @@ class PureAnalysis:
             if consumer is None:
                 continue
             harvest.order_risks.append(
-                (self._site(fn, node), _expr_text(node), consumer)
+                (site_of(fn, node), expr_text(node), consumer)
             )
 
     def _order_consumer(
@@ -772,9 +736,9 @@ class PureAnalysis:
         target = module.imports.get(name)
         if target is None:
             return False
-        return not any(
-            target == m or target.startswith(m + ".")
-            for m in self.project.modules
+        return (
+            target not in self.project.modules
+            and self.project.owning_module(target) is None
         )
 
     @staticmethod
@@ -810,7 +774,7 @@ class PureAnalysis:
                 container, ctype = hit
                 self.snapshots.append(
                     SnapshotHit(
-                        site=self._site(fn, expr),
+                        site=site_of(fn, expr),
                         method=fn.qualname,
                         container=container,
                         ctype=ctype,
@@ -867,45 +831,32 @@ class PureAnalysis:
     # ------------------------------------------------------------------
     # RPL901: effect closures with call-site argument binding
     # ------------------------------------------------------------------
-    def _effect_closure(self, key: str) -> Tuple[Effect, ...]:
-        cached = self._closure_cache.get(key)
-        if cached is not None:
-            return cached
-        self._closure_cache[key] = ()  # cycle guard
-        harvest = self._harvests.get(key)
-        out: List[Effect] = list(harvest.effects) if harvest else []
-        if harvest is not None:
-            for call in harvest.calls:
-                for target in call.targets:
-                    if self._allowed(target):
-                        continue
-                    callee = self.project.functions.get(target)
-                    if callee is None:
-                        continue
-                    for effect in self._effect_closure(target):
-                        mapped = self._map_root(effect.root, call, callee)
-                        if mapped is None:
-                            continue
-                        chain = (callee.qualname,) + effect.chain
-                        if len(chain) > _VIA_LIMIT:
-                            chain = chain[:_VIA_LIMIT]
-                        out.append(
-                            Effect(
-                                root=mapped,
-                                target=effect.target,
-                                op=effect.op,
-                                site=effect.site,
-                                chain=chain,
-                            )
-                        )
-        deduped = tuple(
-            sorted(
-                set(out),
-                key=lambda e: (e.site.module, e.site.line, e.root, e.target),
-            )
+    def _harvest_of(self, key: str) -> _Harvest:
+        return self._harvests.get(key) or _Harvest()
+
+    def _resolved_calls(self, key: str) -> List[Tuple[_CallRecord, str]]:
+        """(call, callee key) pairs an effect closure follows."""
+        return [
+            (call, target)
+            for call in self._harvest_of(key).calls
+            for target in call.targets
+            if not self._allowed(target) and target in self.project.functions
+        ]
+
+    def _bind_effect(
+        self, effect: Effect, call: _CallRecord, target: str
+    ) -> Optional[Effect]:
+        callee = self.project.functions[target]
+        mapped = self._map_root(effect.root, call, callee)
+        if mapped is None:
+            return None
+        return Effect(
+            root=mapped,
+            target=effect.target,
+            op=effect.op,
+            site=effect.site,
+            chain=via(callee, effect.chain),
         )
-        self._closure_cache[key] = deduped
-        return deduped
 
     def _map_root(
         self, root: str, call: _CallRecord, callee: FunctionInfo
@@ -913,34 +864,19 @@ class PureAnalysis:
         """A callee-frame effect root, translated into the caller frame."""
         if root.startswith("global:"):
             return root
-        params = _param_names(callee)
-        bound = bool(params) and params[0] in ("self", "cls")
         if root == "self":
             if callee.simple_name in _CTOR_NAMES:
                 return None  # the constructed object is fresh by definition
             return call.receiver_root
         if root.startswith("param:"):
-            name = root[len("param:"):]
-            for kw_name, kw_root in call.kw_roots:
-                if kw_name == name:
-                    return kw_root
-            positional = params[1:] if bound else params
-            try:
-                index = positional.index(name)
-            except ValueError:
-                return None
-            if index < len(call.arg_roots):
-                return call.arg_roots[index]
-            return None  # defaulted parameter: no caller state involved
+            return passed_value(
+                callee, root[len("param:"):], call.arg_roots, call.kw_roots
+            )
         return None
 
     # ------------------------------------------------------------------
     # Driver
     # ------------------------------------------------------------------
-    def _suppressed(self, rule_id: str, site: Site) -> bool:
-        module = self.project.modules.get(site.module)
-        return module is not None and module.suppressed(rule_id, site.line)
-
     def run(self) -> "PureAnalysis":
         self._resolve_tables()
         self._harvest_ctor_container_types()
@@ -950,7 +886,7 @@ class PureAnalysis:
         # RPL901: declared-pure closures.
         for root_key in sorted(self.pure_roots):
             for effect in self._effect_closure(root_key):
-                if self._suppressed("RPL901", effect.site):
+                if suppressed(self.project, "RPL901", effect.site):
                     continue
                 self.mutations.append(
                     MutationHit(root_key=root_key, effect=effect)
@@ -968,7 +904,7 @@ class PureAnalysis:
                 for target in call.targets:
                     if target not in self.mutator_keys:
                         continue
-                    if self._suppressed("RPL902", call.site):
+                    if suppressed(self.project, "RPL902", call.site):
                         continue
                     mutator = self.project.functions[target]
                     self.phase.append(
@@ -981,7 +917,7 @@ class PureAnalysis:
                         )
                     )
             for kind, what, site in harvest.phase_risks:
-                if self._suppressed("RPL902", site):
+                if suppressed(self.project, "RPL902", site):
                     continue
                 self.phase.append(
                     PhaseHit(
@@ -994,7 +930,7 @@ class PureAnalysis:
         self.snapshots = [
             hit
             for hit in self.snapshots
-            if not self._suppressed("RPL903", hit.site)
+            if not suppressed(self.project, "RPL903", hit.site)
         ]
 
         # RPL904: order hazards inside the probe/purity closure.
@@ -1006,7 +942,7 @@ class PureAnalysis:
             if harvest is None:
                 continue
             for site, iterable, consumer in harvest.order_risks:
-                if self._suppressed("RPL904", site):
+                if suppressed(self.project, "RPL904", site):
                     continue
                 self.order.append(
                     OrderHit(
@@ -1020,7 +956,7 @@ class PureAnalysis:
         self.registry = [
             hit
             for hit in self.registry
-            if not self._suppressed("RPL905", hit.site)
+            if not suppressed(self.project, "RPL905", hit.site)
         ]
 
         self.mutations.sort(
@@ -1053,20 +989,155 @@ class PureAnalysis:
 
 
 # ----------------------------------------------------------------------
-# Shared entry point for the rule module and the repro-pure CLI
+# Shared entry point and the ``repro-lint --report pure`` renderers
 # ----------------------------------------------------------------------
-_PURE_CACHE: Dict[Tuple[int, int], PureAnalysis] = {}
-_CACHE_LIMIT = 8
-
-
 def pure_analysis(project: Project, config: LintConfig) -> PureAnalysis:
     """Run (or reuse) the PURE analysis for one project + config."""
-    key = (id(project), hash(config))
-    cached = _PURE_CACHE.get(key)
-    if cached is not None and cached.project is project:
-        return cached
-    if len(_PURE_CACHE) >= _CACHE_LIMIT:
-        _PURE_CACHE.clear()
-    analysis = PureAnalysis(project, shared_callgraph(project), config).run()
-    _PURE_CACHE[key] = analysis
-    return analysis
+    return shared_analysis("pure", PureAnalysis, project, config)
+
+
+def render_text(analysis: PureAnalysis) -> str:
+    lines: List[str] = []
+    lines.append("declared-pure registry")
+    lines.append("======================")
+    if not analysis.pure_roots:
+        lines.append("  (no pure roots registered or marked)")
+    mutations_by_root: Dict[str, int] = {}
+    for hit in analysis.mutations:
+        mutations_by_root[hit.root_key] = (
+            mutations_by_root.get(hit.root_key, 0) + 1
+        )
+    for key in sorted(analysis.pure_roots):
+        label = fn_label(analysis.project, key)
+        count = mutations_by_root.get(key, 0)
+        verdict = "ok" if count == 0 else f"{count} mutation(s)"
+        lines.append(f"  {label}  [{analysis.pure_roots[key]}]  {verdict}")
+    if analysis.mutations:
+        lines.append("")
+        lines.append("mutations of pre-existing state")
+        for hit in analysis.mutations:
+            effect = hit.effect
+            via = " via " + " -> ".join(effect.chain) if effect.chain else ""
+            lines.append(
+                f"  {effect.site.module}:{effect.site.line}  "
+                f"root={effect.root}  {effect.op} on {effect.target}"
+                f"{via}  (pure root {fn_label(analysis.project, hit.root_key)})"
+            )
+    lines.append("")
+    lines.append("probe/commit phase separation")
+    lines.append("=============================")
+    if not analysis.probe_entries:
+        lines.append("  (no probe entry points registered)")
+    for key in sorted(analysis.probe_entries):
+        lines.append(f"  probe entry {fn_label(analysis.project, key)}")
+    lines.append(f"  reachable functions: {len(analysis.reachable)}")
+    lines.append(f"  commit mutators registered: {len(analysis.mutator_keys)}")
+    if analysis.phase:
+        lines.append("")
+        lines.append(f"PHASE VIOLATIONS: {len(analysis.phase)}")
+        for hit in analysis.phase:
+            path = " -> ".join(
+                fn_label(analysis.project, step).split(":")[-1] for step in hit.path
+            )
+            lines.append(
+                f"  {hit.site.module}:{hit.site.line}  [{hit.kind}] "
+                f"{hit.what}  (path {path})"
+            )
+    else:
+        lines.append("  violations: none")
+    lines.append("")
+    lines.append("snapshot boundaries")
+    lines.append("===================")
+    if not analysis.snapshots:
+        lines.append("  (no live containers escape snapshot accessors)")
+    for snap in analysis.snapshots:
+        lines.append(
+            f"  {snap.site.module}:{snap.site.line}  {snap.method} "
+            f"returns live {snap.ctype} {snap.container}"
+        )
+    lines.append("")
+    lines.append("iteration-order hazards")
+    lines.append("=======================")
+    if not analysis.order:
+        lines.append("  (no set iteration feeds an ordered decision)")
+    for hazard in analysis.order:
+        lines.append(
+            f"  {hazard.site.module}:{hazard.site.line}  "
+            f"{hazard.iterable!r} -> {hazard.consumer}  "
+            f"(reachable from {fn_label(analysis.project, hazard.entry)})"
+        )
+    lines.append("")
+    lines.append("registry health")
+    lines.append("===============")
+    if not analysis.registry:
+        lines.append("  (every registry entry resolves)")
+    for stale in analysis.registry:
+        lines.append(
+            f"  stale [{stale.table}] entry {stale.entry!r} "
+            f"(module {stale.module})"
+        )
+    return "\n".join(lines)
+
+
+def render_json(analysis: PureAnalysis) -> str:
+    payload = {
+        "pure_roots": {
+            fn_label(analysis.project, key): origin
+            for key, origin in sorted(analysis.pure_roots.items())
+        },
+        "mutations": [
+            {
+                "root": fn_label(analysis.project, hit.root_key),
+                "module": hit.effect.site.module,
+                "line": hit.effect.site.line,
+                "effect_root": hit.effect.root,
+                "op": hit.effect.op,
+                "target": hit.effect.target,
+                "via": list(hit.effect.chain),
+            }
+            for hit in analysis.mutations
+        ],
+        "probe_entries": sorted(
+            fn_label(analysis.project, key) for key in analysis.probe_entries
+        ),
+        "reachable_count": len(analysis.reachable),
+        "phase_violations": [
+            {
+                "module": hit.site.module,
+                "line": hit.site.line,
+                "kind": hit.kind,
+                "what": hit.what,
+                "entry": fn_label(analysis.project, hit.entry),
+                "path": [
+                    fn_label(analysis.project, step) for step in hit.path
+                ],
+            }
+            for hit in analysis.phase
+        ],
+        "snapshot_escapes": [
+            {
+                "module": snap.site.module,
+                "line": snap.site.line,
+                "method": snap.method,
+                "container": snap.container,
+                "type": snap.ctype,
+            }
+            for snap in analysis.snapshots
+        ],
+        "order_hazards": [
+            {
+                "module": hazard.site.module,
+                "line": hazard.site.line,
+                "iterable": hazard.iterable,
+                "consumer": hazard.consumer,
+                "entry": fn_label(analysis.project, hazard.entry),
+            }
+            for hazard in analysis.order
+        ],
+        "stale_registry": [
+            {"entry": stale.entry, "table": stale.table}
+            for stale in analysis.registry
+        ],
+        "violations": analysis.violation_count,
+    }
+    return json.dumps(payload, indent=2, sort_keys=True)

@@ -12,22 +12,21 @@ path did.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Iterator, List, Optional, Set, Tuple
 
-from .callgraph import CallGraph, FunctionScanner
+from .callgraph import CallGraph, FunctionScanner, shared_callgraph
 from .config import LintConfig
+from .core import Site, finding_at
 from .dataflow import (
     CLOCK,
     RNG,
-    DataflowAnalysis,
-    LocksetAnalysis,
     analyze,
     compute_locksets,
     pool_entry_keys,
-    shared_callgraph,
 )
 from .model import DATAFLOW, Finding, Rule, register
 from .project import FunctionInfo, Project
+from .rules_threadsafety import _MUTATORS
 
 #: Methods allowed to write attributes without holding the lock: the
 #: object is not yet (or no longer) shared while they run.
@@ -39,18 +38,6 @@ _UNSHARED_METHODS = {
     "__getstate__",
     "__reduce__",
 }
-
-#: Mutating container methods (mirrors the RPL201 set).
-_MUTATORS = {
-    "append", "extend", "insert", "remove", "pop", "popitem", "clear",
-    "add", "discard", "update", "setdefault", "sort", "reverse",
-    "appendleft", "popleft",
-}
-
-
-def _display_origin(analysis: DataflowAnalysis, module: str) -> str:
-    info = analysis.project.modules.get(module)
-    return info.display_path if info is not None else module
 
 
 @register
@@ -79,17 +66,13 @@ class RngProvenance(Rule):
         ):
             if hit.domain != RNG:
                 continue
-            yield Finding(
-                rule_id=self.rule_id,
-                path=_display_origin(analysis, hit.module),
-                line=hit.line,
-                col=hit.col,
-                message=(
-                    f"value from {hit.taint.origin} (line {hit.taint.line}) "
-                    f"flows into seed-requiring parameter "
-                    f"{hit.param!r} of {hit.callee}()"
-                ),
-                hint=self.autofix_hint,
+            yield finding_at(
+                self,
+                project,
+                Site(hit.module, hit.line, hit.col, ""),
+                f"value from {hit.taint.origin} (line {hit.taint.line}) "
+                f"flows into seed-requiring parameter "
+                f"{hit.param!r} of {hit.callee}()",
             )
 
 
@@ -118,17 +101,13 @@ class ClockProvenance(Rule):
         ):
             if hit.domain != CLOCK:
                 continue
-            yield Finding(
-                rule_id=self.rule_id,
-                path=_display_origin(analysis, hit.module),
-                line=hit.line,
-                col=hit.col,
-                message=(
-                    f"{hit.taint.origin} (line {hit.taint.line}) is not a "
-                    f"Clock but flows into Clock-typed parameter "
-                    f"{hit.param!r} of {hit.callee}()"
-                ),
-                hint=self.autofix_hint,
+            yield finding_at(
+                self,
+                project,
+                Site(hit.module, hit.line, hit.col, ""),
+                f"{hit.taint.origin} (line {hit.taint.line}) is not a "
+                f"Clock but flows into Clock-typed parameter "
+                f"{hit.param!r} of {hit.callee}()",
             )
 
 

@@ -47,13 +47,6 @@ _WALL_CLOCK = {
 }
 
 
-def _iter_calls(project: Project):
-    for module in project.modules.values():
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.Call):
-                yield module, node
-
-
 @register
 class UnseededDefaultRng(Rule):
     rule_id = "RPL101"
@@ -71,7 +64,7 @@ class UnseededDefaultRng(Rule):
     )
 
     def check(self, project: Project, config: LintConfig) -> Iterator[Finding]:
-        for module, call in _iter_calls(project):
+        for module, call in project.iter_calls():
             dotted = module.resolve(call.func)
             if dotted is None or not dotted.endswith("default_rng"):
                 continue
@@ -104,7 +97,7 @@ class LegacyGlobalNumpyRandom(Rule):
     )
 
     def check(self, project: Project, config: LintConfig) -> Iterator[Finding]:
-        for module, call in _iter_calls(project):
+        for module, call in project.iter_calls():
             dotted = module.resolve(call.func)
             if dotted is None:
                 continue
@@ -183,7 +176,7 @@ class WallClockRead(Rule):
     )
 
     def check(self, project: Project, config: LintConfig) -> Iterator[Finding]:
-        for module, call in _iter_calls(project):
+        for module, call in project.iter_calls():
             dotted = module.resolve(call.func)
             if dotted in _WALL_CLOCK:
                 yield self.finding(

@@ -4,8 +4,8 @@ These rules consume the shared :class:`~.flow.FlowAnalysis` harvest:
 one pass over the project yields the lock-order graph, the
 blocking-under-lock sites, the thread-escape set, the lifecycle
 violations, and the growth-only containers; each rule then renders its
-slice as findings.  The same analysis backs the ``repro-flow`` CLI, so
-the graph a finding refers to can always be inspected directly.
+slice as findings.  ``repro-lint --report flow`` renders the same
+analysis, so the graph a finding refers to can be inspected directly.
 """
 
 from __future__ import annotations
@@ -13,24 +13,10 @@ from __future__ import annotations
 from typing import Iterator
 
 from .config import LintConfig
-from .flow import FlowAnalysis, Site, flow_analysis
+from .core import finding_at
+from .flow import flow_analysis
 from .model import FLOW, Finding, Rule, register
 from .project import Project
-
-
-def _finding_at(
-    rule: Rule, project: Project, site: Site, message: str
-) -> Finding:
-    module = project.modules.get(site.module)
-    path = str(module.display_path) if module is not None else site.module
-    return Finding(
-        rule_id=rule.rule_id,
-        path=path,
-        line=site.line,
-        col=site.col,
-        message=message,
-        hint=rule.autofix_hint,
-    )
 
 
 @register
@@ -57,7 +43,7 @@ class LockOrderCycle(Rule):
     def check(self, project: Project, config: LintConfig) -> Iterator[Finding]:
         analysis = flow_analysis(project, config)
         for cycle in analysis.cycles:
-            yield _finding_at(
+            yield finding_at(
                 self,
                 project,
                 cycle.site,
@@ -97,7 +83,7 @@ class BlockingUnderLock(Rule):
                 )
             else:
                 message = f"blocking call {hit.call} while holding {locks}"
-            yield _finding_at(self, project, hit.site, message)
+            yield finding_at(self, project, hit.site, message)
 
 
 @register
@@ -123,7 +109,7 @@ class ThreadEscape(Rule):
     def check(self, project: Project, config: LintConfig) -> Iterator[Finding]:
         analysis = flow_analysis(project, config)
         for hit in analysis.escapes:
-            yield _finding_at(
+            yield finding_at(
                 self,
                 project,
                 hit.site,
@@ -180,7 +166,7 @@ class LifecycleDiscipline(Rule):
                 resource=hit.resource,
                 releasers="/".join(hit.releasers),
             )
-            yield _finding_at(self, project, hit.site, message)
+            yield finding_at(self, project, hit.site, message)
 
 
 @register
@@ -208,7 +194,7 @@ class UnboundedGrowth(Rule):
         analysis = flow_analysis(project, config)
         for hit in analysis.growth:
             entry = hit.entry.split(":")[-1]
-            yield _finding_at(
+            yield finding_at(
                 self,
                 project,
                 hit.site,
@@ -218,14 +204,3 @@ class UnboundedGrowth(Rule):
                     f"eviction, bound guard, or maxlen found"
                 ),
             )
-
-
-#: Imported for re-export convenience (repro-flow shares the harvest).
-__all__ = [
-    "LockOrderCycle",
-    "BlockingUnderLock",
-    "ThreadEscape",
-    "LifecycleDiscipline",
-    "UnboundedGrowth",
-    "FlowAnalysis",
-]

@@ -4,10 +4,9 @@ These rules consume the shared :class:`~.pure.PureAnalysis` harvest:
 one pass over the project yields the effect closures of every
 declared-pure root, the probe-reachable call set, the snapshot alias
 escapes, the set-iteration order hazards, and the registry health
-report; each rule then renders its slice as findings.  The same
-analysis backs the ``repro-pure`` CLI, so every finding here can be
-inspected in context (paths, closures, reachability) with
-``repro-pure src/repro``.
+report; each rule then renders its slice as findings.  Every finding
+here can be inspected in context (paths, closures, reachability) with
+``repro-lint src/repro --report pure``.
 """
 
 from __future__ import annotations
@@ -15,30 +14,10 @@ from __future__ import annotations
 from typing import Iterator
 
 from .config import LintConfig
-from .flow import Site
+from .core import finding_at, fn_name, registry_hit
 from .model import PURE, Finding, Rule, register
 from .project import Project
-from .pure import PureAnalysis, pure_analysis
-
-
-def _finding_at(
-    rule: Rule, project: Project, site: Site, message: str
-) -> Finding:
-    module = project.modules.get(site.module)
-    path = str(module.display_path) if module is not None else site.module
-    return Finding(
-        rule_id=rule.rule_id,
-        path=path,
-        line=site.line,
-        col=site.col,
-        message=message,
-        hint=rule.autofix_hint,
-    )
-
-
-def _fn_name(project: Project, key: str) -> str:
-    fn = project.functions.get(key)
-    return fn.qualname if fn is not None else key.split(":")[-1]
+from .pure import pure_analysis
 
 
 @register
@@ -72,12 +51,12 @@ class DeclaredPureMutation(Rule):
             via = (
                 " via " + " -> ".join(effect.chain) if effect.chain else ""
             )
-            yield _finding_at(
+            yield finding_at(
                 self,
                 project,
                 effect.site,
                 (
-                    f"declared-pure {_fn_name(project, hit.root_key)!r} "
+                    f"declared-pure {fn_name(project, hit.root_key)!r} "
                     f"mutates pre-existing state rooted at {effect.root}: "
                     f"{effect.op} on {effect.target}{via}"
                 ),
@@ -116,9 +95,9 @@ class ProbeCommitSeparation(Rule):
     def check(self, project: Project, config: LintConfig) -> Iterator[Finding]:
         analysis = pure_analysis(project, config)
         for hit in analysis.phase:
-            entry = _fn_name(project, hit.entry)
+            entry = fn_name(project, hit.entry)
             what = self._KINDS[hit.kind].format(what=hit.what)
-            yield _finding_at(
+            yield finding_at(
                 self,
                 project,
                 hit.site,
@@ -150,7 +129,7 @@ class SnapshotAliasEscape(Rule):
     def check(self, project: Project, config: LintConfig) -> Iterator[Finding]:
         analysis = pure_analysis(project, config)
         for hit in analysis.snapshots:
-            yield _finding_at(
+            yield finding_at(
                 self,
                 project,
                 hit.site,
@@ -187,8 +166,8 @@ class SetIterationOrder(Rule):
     def check(self, project: Project, config: LintConfig) -> Iterator[Finding]:
         analysis = pure_analysis(project, config)
         for hit in analysis.order:
-            entry = _fn_name(project, hit.entry)
-            yield _finding_at(
+            entry = fn_name(project, hit.entry)
+            yield finding_at(
                 self,
                 project,
                 hit.site,
@@ -224,7 +203,7 @@ class PurityRegistryHealth(Rule):
     def check(self, project: Project, config: LintConfig) -> Iterator[Finding]:
         analysis = pure_analysis(project, config)
         for hit in analysis.registry:
-            yield _finding_at(
+            yield finding_at(
                 self,
                 project,
                 hit.site,
@@ -239,27 +218,16 @@ class PurityRegistryHealth(Rule):
             & set(config.pure_commit_mutators)
         )
         for entry in contradictions:
-            module = analysis._owning_module(entry)
-            if module is None:
+            hit = registry_hit(project, entry, "probe-entrypoints")
+            if hit is None:
                 continue
-            yield _finding_at(
+            yield finding_at(
                 self,
                 project,
-                Site(module=module, line=1, col=0, fn_key=""),
+                hit.site,
                 (
                     f"{entry!r} is registered as both a probe entry "
                     f"point and a commit mutator; a function cannot be "
                     f"on both sides of the phase split"
                 ),
             )
-
-
-#: Imported for re-export convenience (repro-pure shares the harvest).
-__all__ = [
-    "DeclaredPureMutation",
-    "ProbeCommitSeparation",
-    "SnapshotAliasEscape",
-    "SetIterationOrder",
-    "PurityRegistryHealth",
-    "PureAnalysis",
-]

@@ -21,13 +21,6 @@ from .project import Project
 _INSTRUMENT_FACTORIES = {"counter", "gauge", "histogram"}
 
 
-def _iter_calls(project: Project):
-    for module in project.modules.values():
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.Call):
-                yield module, node
-
-
 def _receiver_mentions_tracer(func: ast.Attribute) -> bool:
     """True when the attribute chain under ``func`` names a tracer.
 
@@ -68,7 +61,7 @@ class MetricNameFormat(Rule):
     )
 
     def check(self, project: Project, config: LintConfig) -> Iterator[Finding]:
-        for module, call in _iter_calls(project):
+        for module, call in project.iter_calls():
             func = call.func
             if not isinstance(func, ast.Attribute):
                 continue

@@ -14,9 +14,9 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from .callgraph import CallGraph
+from .callgraph import CallGraph, shared_callgraph
 from .config import LintConfig
-from .dataflow import compute_locksets, pool_entry_keys, shared_callgraph
+from .dataflow import compute_locksets, pool_entry_keys
 from .model import THREAD_SAFETY, Finding, Rule, register
 from .project import FunctionInfo, Project
 

@@ -19,6 +19,7 @@ from typing import Dict, Iterator, List, Tuple
 
 from .callgraph import _annotation_class
 from .config import LintConfig
+from .core import Site, finding_at
 from .model import UNITS, Finding, Rule, register
 from .project import Project
 from .units import (
@@ -27,7 +28,6 @@ from .units import (
     CUBE,
     DOMAINS,
     TIME_COMPARE,
-    UnitsAnalysis,
     analyze_units,
     in_units_scope,
     parse_registry,
@@ -36,11 +36,6 @@ from .units import (
 #: Annotations RPL705 rejects on a registered signature: the bare
 #: numeric types a quantity alias exists to replace.
 _BARE_NUMERIC = {"float", "int"}
-
-
-def _display_origin(analysis: UnitsAnalysis, module: str) -> str:
-    info = analysis.project.modules.get(module)
-    return info.display_path if info is not None else module
 
 
 def _hit_findings(
@@ -52,14 +47,8 @@ def _hit_findings(
     ):
         if hit.kind != kind:
             continue
-        yield Finding(
-            rule_id=rule.rule_id,
-            path=_display_origin(analysis, hit.module),
-            line=hit.line,
-            col=hit.col,
-            message=hit.message,
-            hint=rule.autofix_hint,
-        )
+        site = Site(hit.module, hit.line, hit.col, "")
+        yield finding_at(rule, project, site, hit.message)
 
 
 @register

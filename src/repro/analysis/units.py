@@ -41,12 +41,12 @@ from __future__ import annotations
 import ast
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .callgraph import CallGraph, FunctionScanner, _annotation_class
+from .callgraph import CallGraph, _annotation_class, shared_analysis
 from .config import LintConfig
-from .dataflow import shared_callgraph
-from .project import FunctionInfo, ModuleInfo, Project
+from .interp import FrameInterpreter, SummaryAnalysis
+from .project import FunctionInfo, Project, is_self
 
 INF = math.inf
 
@@ -343,42 +343,10 @@ class UnitHit:
 # ----------------------------------------------------------------------
 # Per-function abstract interpreter
 # ----------------------------------------------------------------------
-class _UnitsFlow:
+class _UnitsFlow(FrameInterpreter[UnitValue]):
     """Interprets one function (or module) body over the unit lattice."""
 
-    def __init__(
-        self,
-        analysis: "UnitsAnalysis",
-        fn: Optional[FunctionInfo],
-        module: ModuleInfo,
-        report: bool,
-    ) -> None:
-        self.analysis = analysis
-        self.fn = fn
-        self.module = module
-        self.report = report
-        self.scanner = FunctionScanner(analysis.graph, fn, module)
-        body = fn.node.body if fn is not None else module.tree.body
-        for stmt in body:
-            if fn is None and isinstance(
-                stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ):
-                continue
-            self.scanner.visit(stmt)
-        self.env: Dict[str, UnitValue] = {}
-        if fn is not None:
-            self._seed_params(fn)
-
-    def _seed_params(self, fn: FunctionInfo) -> None:
-        """Parameters are trusted at their own boundary: a ``Millis``
-        parameter is checked at every *call site*, so inside the
-        function it carries its declared domain (same philosophy as
-        the RPL6xx ``_seed_params``)."""
-        args = fn.node.args
-        for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs):
-            domain = self.analysis.param_domain(fn, arg.arg)
-            if domain is not None:
-                self.env[arg.arg] = from_domain(domain)
+    analysis: "UnitsAnalysis"
 
     # -- hit recording ---------------------------------------------------
     def _hit(self, kind: str, node: ast.AST, message: str) -> None:
@@ -405,7 +373,8 @@ class _UnitsFlow:
         if isinstance(node, ast.Name):
             if node.id in self.env:
                 return self.env[node.id]
-            return self._global_value(node.id)
+            found = self._global(node.id)
+            return found if found is not None else UNKNOWN
         if isinstance(node, ast.Constant):
             value = node.value
             if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -576,16 +545,10 @@ class _UnitsFlow:
         return UnitValue(DIMENSIONLESS, 0.0, 1.0)
 
     # -- names, globals, attributes -------------------------------------
-    def _global_value(self, name: str) -> UnitValue:
-        dotted = self.module.imports.get(name, name)
-        found = self.analysis.lookup_global(self.module.name, dotted)
-        return found if found is not None else UNKNOWN
-
     def _eval_attribute(self, node: ast.Attribute) -> UnitValue:
         receiver: Optional[str] = None
         if (
-            isinstance(node.value, ast.Name)
-            and node.value.id == "self"
+            is_self(node.value)
             and self.fn is not None
             and self.fn.class_name is not None
         ):
@@ -612,11 +575,7 @@ class _UnitsFlow:
     # -- calls -----------------------------------------------------------
     def _eval_call(self, node: ast.Call) -> UnitValue:
         func = node.func
-        dotted = (
-            self.module.resolve(func)
-            if isinstance(func, (ast.Name, ast.Attribute))
-            else None
-        )
+        dotted = self.module.resolve(func)
         simple = (
             dotted.split(".")[-1]
             if dotted
@@ -714,44 +673,21 @@ class _UnitsFlow:
             out = UnitValue(merged.domain, *interval)
         return out
 
-    def _bound_args(
-        self, node: ast.Call, callee: FunctionInfo
-    ) -> List[Tuple[str, ast.AST]]:
-        args_spec = callee.node.args
-        names = [a.arg for a in (*args_spec.posonlyargs, *args_spec.args)]
-        if names and names[0] in ("self", "cls"):
-            names = names[1:]
-        bound: List[Tuple[str, ast.AST]] = []
-        for i, arg in enumerate(node.args):
-            if isinstance(arg, ast.Starred):
-                break
-            if i < len(names):
-                bound.append((names[i], arg))
-        kw_names = {a.arg for a in args_spec.kwonlyargs} | set(names)
-        for keyword in node.keywords:
-            if keyword.arg is not None and keyword.arg in kw_names:
-                bound.append((keyword.arg, keyword.value))
-        return bound
-
     def _check_call_args(self, node: ast.Call) -> None:
-        for key in self.scanner._resolve_call_targets(node):
-            callee = self.analysis.project.functions.get(key)
-            if callee is None:
+        for callee, param, expr in self._call_bindings(node):
+            declared = self.analysis.param_domain(callee, param)
+            if declared is None:
                 continue
-            for param, expr in self._bound_args(node, callee):
-                declared = self.analysis.param_domain(callee, param)
-                if declared is None:
-                    continue
-                value = self.eval(expr)
-                if declared == UNIT_CUBE:
-                    self._check_cube_escape(node, expr, callee, param, value)
-                if value.is_unit and value.domain != declared:
-                    self._hit(
-                        CROSS,
-                        expr,
-                        f"{value.domain} value bound to {declared} "
-                        f"parameter {param!r} of {callee.qualname}()",
-                    )
+            value = self.eval(expr)
+            if declared == UNIT_CUBE:
+                self._check_cube_escape(node, expr, callee, param, value)
+            if value.is_unit and value.domain != declared:
+                self._hit(
+                    CROSS,
+                    expr,
+                    f"{value.domain} value bound to {declared} "
+                    f"parameter {param!r} of {callee.qualname}()",
+                )
 
     def _check_cube_escape(
         self,
@@ -810,84 +746,30 @@ class _UnitsFlow:
                 CAPACITY, node, f"partition literal cannot be valid: {reason}"
             )
 
-    # -- statement walk --------------------------------------------------
-    def run(self) -> None:
-        body = (
-            self.fn.node.body if self.fn is not None else self.module.tree.body
-        )
-        self.walk(body)
+    # -- transfer functions ----------------------------------------------
+    def visit_assign(self, stmt: ast.Assign) -> None:
+        value = self.eval(stmt.value)
+        for target in stmt.targets:
+            self._assign_target(target, stmt.value, value)
 
-    def walk(self, stmts: Iterable[ast.stmt]) -> None:
-        for stmt in stmts:
-            self._walk_stmt(stmt)
+    def visit_aug_assign(self, stmt: ast.AugAssign) -> None:
+        current = self.eval(stmt.target)
+        new = self._combine(stmt.op, current, self.eval(stmt.value), stmt)
+        self._assign_target(stmt.target, stmt.value, new)
 
-    def _walk_stmt(self, stmt: ast.stmt) -> None:
-        if isinstance(stmt, ast.Assign):
-            value = self.eval(stmt.value)
-            for target in stmt.targets:
-                self._assign_target(target, stmt.value, value)
-        elif isinstance(stmt, ast.AnnAssign):
-            self._ann_assign(stmt)
-        elif isinstance(stmt, ast.AugAssign):
-            current = self.eval(stmt.target)
-            new = self._combine(
-                stmt.op, current, self.eval(stmt.value), stmt
-            )
-            self._assign_target(stmt.target, stmt.value, new)
-        elif isinstance(stmt, ast.Return):
-            value = self.eval(stmt.value)
-            if self.fn is not None:
-                self._check_return(stmt, value)
-                if value != UNKNOWN:
-                    self.analysis.merge_return(self.fn.key, value)
-        elif isinstance(stmt, ast.Expr):
-            self.eval(stmt.value)
-        elif isinstance(stmt, ast.If):
-            self.eval(stmt.test)
-            before = dict(self.env)
-            self.walk(stmt.body)
-            after_body = self.env
-            self.env = dict(before)
-            self.walk(stmt.orelse)
-            merged: Dict[str, UnitValue] = {}
-            for name in set(after_body) | set(self.env):
-                merged[name] = join(
-                    after_body.get(name, UNKNOWN), self.env.get(name, UNKNOWN)
-                )
-            self.env = merged
-        elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-            iter_value = self.eval(stmt.iter)
-            self._assign_target(stmt.target, stmt.iter, iter_value)
-            self.walk(stmt.body)
-            self.walk(stmt.orelse)
-        elif isinstance(stmt, ast.While):
-            self.eval(stmt.test)
-            self.walk(stmt.body)
-            self.walk(stmt.orelse)
-        elif isinstance(stmt, (ast.With, ast.AsyncWith)):
-            for item in stmt.items:
-                value = self.eval(item.context_expr)
-                if isinstance(item.optional_vars, ast.Name):
-                    self.env[item.optional_vars.id] = value
-            self.walk(stmt.body)
-        elif isinstance(stmt, ast.Try):
-            self.walk(stmt.body)
-            for handler in stmt.handlers:
-                self.walk(handler.body)
-            self.walk(stmt.orelse)
-            self.walk(stmt.finalbody)
-        elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            if self.fn is not None:
-                # Nested def: approximate as inline, like the call graph.
-                self.walk(stmt.body)
-        elif isinstance(stmt, ast.ClassDef):
-            pass
-        else:
-            for child in ast.iter_child_nodes(stmt):
-                if isinstance(child, ast.expr):
-                    self.eval(child)
+    def visit_return(self, stmt: ast.Return) -> None:
+        value = self.eval(stmt.value)
+        if self.fn is not None:
+            self._check_return(stmt, value)
+            if value != UNKNOWN:
+                self.analysis.merge_return(self.fn.key, value)
 
-    def _ann_assign(self, stmt: ast.AnnAssign) -> None:
+    def bind_loop_target(
+        self, target: ast.AST, iter_node: ast.AST, value: UnitValue
+    ) -> None:
+        self._assign_target(target, iter_node, value)
+
+    def visit_ann_assign(self, stmt: ast.AnnAssign) -> None:
         declared = _annotation_class(stmt.annotation)
         value = self.eval(stmt.value) if stmt.value is not None else None
         if declared in DOMAINS:
@@ -935,15 +817,7 @@ class _UnitsFlow:
                     self.module.name, target.id, value
                 )
         elif isinstance(target, ast.Attribute):
-            receiver: Optional[str] = None
-            if (
-                isinstance(target.value, ast.Name)
-                and target.value.id == "self"
-                and self.fn is not None
-            ):
-                receiver = self.fn.class_name
-            else:
-                receiver = self.scanner._value_type(target.value)
+            receiver = self._store_receiver(target)
             if receiver is None:
                 return
             annotated = self.analysis.graph.attr_type(receiver, target.attr)
@@ -979,7 +853,7 @@ class _UnitsFlow:
 # ----------------------------------------------------------------------
 # Whole-program driver
 # ----------------------------------------------------------------------
-class UnitsAnalysis:
+class UnitsAnalysis(SummaryAnalysis[UnitValue]):
     """Interprocedural unit/interval propagation to a fixpoint.
 
     Summaries — per-function return values, per-(class, field) values,
@@ -988,21 +862,19 @@ class UnitsAnalysis:
     collects :class:`UnitHit` records for the RPL7xx rules.
     """
 
-    MAX_ITERATIONS = 4
+    frame = _UnitsFlow
+    bottom = UNKNOWN
 
     def __init__(
         self, project: Project, graph: CallGraph, config: LintConfig
     ) -> None:
-        self.project = project
-        self.graph = graph
-        self.config = config
+        super().__init__(project, graph, config)
         self.registry = parse_registry(config)
         self.capacities = parse_capacities(config)
-        self.return_domains: Dict[str, UnitValue] = {}
-        self.field_domains: Dict[Tuple[str, str], UnitValue] = {}
-        self.global_domains: Dict[Tuple[str, str], UnitValue] = {}
         self.hits: Set[UnitHit] = set()
-        self._changed = False
+
+    def join(self, a: UnitValue, b: UnitValue) -> UnitValue:
+        return join(a, b)
 
     # -- declared domains ------------------------------------------------
     def declared_return(self, fn: FunctionInfo) -> Optional[str]:
@@ -1019,11 +891,17 @@ class UnitsAnalysis:
         cls = self.graph.param_types.get(fn.key, {}).get(param)
         return cls if cls in DOMAINS else None
 
+    def param_value(
+        self, fn: FunctionInfo, param: str
+    ) -> Optional[UnitValue]:
+        domain = self.param_domain(fn, param)
+        return from_domain(domain) if domain is not None else None
+
     def function_return(self, fn: FunctionInfo) -> UnitValue:
         declared = self.declared_return(fn)
         if declared is not None:
             return from_domain(declared)
-        return self.return_domains.get(fn.key, UNKNOWN)
+        return self.returns.get(fn.key, UNKNOWN)
 
     def property_domain(self, cls: str, attr: str) -> Optional[str]:
         """Declared domain of a ``@property`` read, if any."""
@@ -1042,87 +920,16 @@ class UnitsAnalysis:
                 return self.declared_return(method)
         return None
 
-    # -- summary tables --------------------------------------------------
-    def _merge(
-        self,
-        table: Dict,
-        key,
-        value: UnitValue,
-    ) -> None:
-        old = table.get(key)
-        new = value if old is None else join(old, value)
-        if new != old:
-            table[key] = new
-            self._changed = True
-
-    def merge_return(self, key: str, value: UnitValue) -> None:
-        self._merge(self.return_domains, key, value)
-
-    def merge_field(self, cls: str, attr: str, value: UnitValue) -> None:
-        self._merge(self.field_domains, (cls, attr), value)
-
-    def merge_global(self, module: str, name: str, value: UnitValue) -> None:
-        self._merge(self.global_domains, (module, name), value)
-
     def lookup_field(self, cls: str, attr: str) -> Optional[UnitValue]:
         annotated = self.graph.attr_type(cls, attr)
         if annotated in DOMAINS:
             return from_domain(annotated)
-        found = self.field_domains.get((cls, attr))
-        if found is not None:
-            return found
-        for info in self.project.classes_by_name.get(cls, ()):
-            for base in info.base_names:
-                found = self.field_domains.get((base, attr))
-                if found is not None:
-                    return found
-        return None
-
-    def lookup_global(
-        self, current_module: str, dotted: str
-    ) -> Optional[UnitValue]:
-        if "." not in dotted:
-            return self.global_domains.get((current_module, dotted))
-        for module_name in self.project.modules:
-            if dotted.startswith(module_name + "."):
-                remainder = dotted[len(module_name) + 1 :]
-                if "." not in remainder:
-                    return self.global_domains.get((module_name, remainder))
-        return None
-
-    # -- driver ----------------------------------------------------------
-    def _pass(self, report: bool) -> bool:
-        self._changed = False
-        for module in self.project.modules.values():
-            _UnitsFlow(self, None, module, report).run()
-        for fn in self.project.iter_functions():
-            module = self.project.modules[fn.module]
-            _UnitsFlow(self, fn, module, report).run()
-        return self._changed
-
-    def run(self) -> "UnitsAnalysis":
-        for _ in range(self.MAX_ITERATIONS):
-            if not self._pass(report=False):
-                break
-        self._pass(report=True)
-        return self
+        return super().lookup_field(cls, attr)
 
 
 # ----------------------------------------------------------------------
 # Shared entry point (cached like the RPL6xx dataflow analysis)
 # ----------------------------------------------------------------------
-_UNITS_CACHE: Dict[Tuple[int, int], UnitsAnalysis] = {}
-_CACHE_LIMIT = 8
-
-
 def analyze_units(project: Project, config: LintConfig) -> UnitsAnalysis:
     """Run (or reuse) the units analysis for one project + config."""
-    key = (id(project), hash(config))
-    cached = _UNITS_CACHE.get(key)
-    if cached is not None and cached.project is project:
-        return cached
-    if len(_UNITS_CACHE) >= _CACHE_LIMIT:
-        _UNITS_CACHE.clear()
-    analysis = UnitsAnalysis(project, shared_callgraph(project), config).run()
-    _UNITS_CACHE[key] = analysis
-    return analysis
+    return shared_analysis("units", UnitsAnalysis, project, config)

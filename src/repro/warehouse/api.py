@@ -24,6 +24,7 @@ another thread.
 from __future__ import annotations
 
 import json
+import math
 import threading
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -58,6 +59,17 @@ class GatewayCommand:
     at_s: Optional[Seconds] = None
 
 
+def _spec_number(value: object, error: str) -> float:
+    """A finite JSON number (``true`` is an ``int`` in Python: rejected)."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not math.isfinite(value)
+    ):
+        raise ValueError(error)
+    return float(value)
+
+
 def job_from_spec(spec: Dict[str, object]) -> GatewayCommand:
     """Parse a ``POST /submit`` body into a submission command.
 
@@ -79,8 +91,9 @@ def job_from_spec(spec: Dict[str, object]) -> GatewayCommand:
     if not isinstance(name, str) or not name:
         raise ValueError("'name' must be a non-empty string")
     at = spec.get("at")
-    if at is not None and not isinstance(at, (int, float)):
-        raise ValueError("'at' must be a number of simulated seconds")
+    at_s = None if at is None else _spec_number(
+        at, "'at' must be a finite number of simulated seconds"
+    )
     if workload_name in LC_NAMES:
         schedule: Union[LoadSchedule, float]
         raw_schedule = spec.get("schedule")
@@ -92,10 +105,9 @@ def job_from_spec(spec: Dict[str, object]) -> GatewayCommand:
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"bad 'schedule': {exc}") from exc
         else:
-            load = spec.get("load", 0.5)
-            if not isinstance(load, (int, float)):
-                raise ValueError("'load' must be a number")
-            schedule = float(load)
+            schedule = _spec_number(
+                spec.get("load", 0.5), "'load' must be a finite number"
+            )
         job = WarehouseJob.lc(lc_workload(workload_name), schedule, name)
     elif workload_name in BG_NAMES:
         if spec.get("load") is not None or spec.get("schedule") is not None:
@@ -110,7 +122,7 @@ def job_from_spec(spec: Dict[str, object]) -> GatewayCommand:
         kind="submit",
         name=name,
         job=job,
-        at_s=float(at) if at is not None else None,
+        at_s=at_s,
     )
 
 
@@ -218,14 +230,14 @@ class _WarehouseHandler(BaseHTTPRequestHandler):
                 self._respond_json(400, {"error": "'name' must be a string"})
                 return
             at = spec.get("at")
-            if at is not None and not isinstance(at, (int, float)):
-                self._respond_json(400, {"error": "'at' must be a number"})
+            try:
+                at_s = None if at is None else _spec_number(
+                    at, "'at' must be a finite number"
+                )
+            except ValueError as exc:
+                self._respond_json(400, {"error": str(exc)})
                 return
-            command = GatewayCommand(
-                kind="depart",
-                name=name,
-                at_s=float(at) if at is not None else None,
-            )
+            command = GatewayCommand(kind="depart", name=name, at_s=at_s)
         else:
             self.send_error(404, "try /submit or /depart")
             return

@@ -19,6 +19,7 @@ reproducible dynamic-allocation experiments).
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple, Union
 
@@ -137,10 +138,18 @@ class EventQueue:
         self._seq = 0
 
     def push(self, time_s: Seconds, payload: Payload) -> int:
-        """Schedule ``payload`` at ``time_s``; returns its sequence id."""
+        """Schedule ``payload`` at ``time_s``; returns its sequence id.
+
+        A NaN or infinite time would break the heap order (and with it
+        every later event), so it is refused here, where every scheduled
+        event enters the queue.
+        """
+        at = float(time_s)
+        if not math.isfinite(at):
+            raise ValueError(f"event time must be finite, got {time_s!r}")
         seq = self._seq
         self._seq += 1
-        heapq.heappush(self._heap, (float(time_s), seq, payload))
+        heapq.heappush(self._heap, (at, seq, payload))
         return seq
 
     def pop(self) -> Tuple[float, int, Payload]:

@@ -24,7 +24,7 @@ survives the concurrency because probe *results* are collected per
 shard and committed in preference order — the committed decision is a
 pure function of the event, never of thread completion order — which the
 serial-vs-concurrent equivalence test pins down.  The side-effect-free
-half of that bargain is *proven statically*: ``repro-pure --check``
+half of that bargain is *proven statically*: ``repro-lint --select PURE``
 (the RPL9xx family, :mod:`repro.analysis.pure`) closes the probe entry
 points over the call graph and fails CI on any mutation of
 pre-existing state, fresh RNG/clock draw, or commit-mutator call in a

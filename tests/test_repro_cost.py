@@ -1,4 +1,4 @@
-"""repro-cost: COST-family (RPL10xx) rule behavior on the cost
+"""COST-family (RPL10xx) rule behavior on the cost
 fixtures, interprocedural cost closures with call chains, RPL1004
 repeat semantics, the CLI report, cache coverage of the nested cost
 table, and the meta-tests pinning the repo's own per-event budgets."""
@@ -14,8 +14,8 @@ import pytest
 from repro.analysis import LintConfig, run_lint
 from repro.analysis.cache import LintCache, cache_key, config_digest
 from repro.analysis.config import load_config
+from repro.analysis.cli import main as lint_main
 from repro.analysis.cost import cost_analysis, parse_budget
-from repro.analysis.cost_cli import main as cost_main
 from repro.analysis.engine import LintEngine
 
 FIXTURES = Path(__file__).resolve().parent / "lint_fixtures"
@@ -25,6 +25,7 @@ PACKAGE = REPO_ROOT / "src" / "repro"
 COST_IDS = ("RPL1001", "RPL1002", "RPL1003", "RPL1004", "RPL1005")
 BAD = "lint_fixtures.cost_bad"
 GOOD = "lint_fixtures.cost_good"
+CYCLE = "lint_fixtures.cycle_bad"
 
 
 def bad_config(**overrides) -> LintConfig:
@@ -72,6 +73,21 @@ def good_config(**overrides) -> LintConfig:
     )
     base.update(overrides)
     return LintConfig(**base)
+
+
+def cycle_config() -> LintConfig:
+    """Both members of cycle_bad's recursive pair budgeted O(small)."""
+    return LintConfig(
+        select=COST_IDS,
+        cost_budgets=(
+            f"{CYCLE}.Walker.advance=small",
+            f"{CYCLE}.Walker.settle=small",
+        ),
+        cost_hot_entrypoints=(),
+        cost_collections=("Fleet.nodes=n_nodes",),
+        cost_bounded=(),
+        cost_small_names=(),
+    )
 
 
 def lint_fixture(filename: str, config: LintConfig):
@@ -129,16 +145,20 @@ class TestCostFixtures:
 
     def test_rpl1001_charges_through_a_two_deep_chain(self):
         """The fleet scan in _scan must be billed to deep's budget with
-        the callee path it was imported through."""
-        analysis = analyse_fixture("cost_bad.py", bad_config())
-        hit = next(
-            h
-            for h in analysis.budget_hits
-            if h.budget.entry == f"{BAD}.BadService.deep"
-        )
-        assert "n_nodes" in hit.term.vars
-        assert len(hit.term.chain) >= 2
-        assert any("_scan" in link for link in hit.term.chain)
+        the callee path it was imported through — and to settle's,
+        which reaches it only around the advance/settle call cycle,
+        though advance is closed first."""
+        for filename, config, entry in (
+            ("cost_bad.py", bad_config(), f"{BAD}.BadService.deep"),
+            ("cycle_bad.py", cycle_config(), f"{CYCLE}.Walker.settle"),
+        ):
+            analysis = analyse_fixture(filename, config)
+            hit = next(
+                h for h in analysis.budget_hits if h.budget.entry == entry
+            )
+            assert "n_nodes" in hit.term.vars
+            assert len(hit.term.chain) >= 2
+            assert any("_scan" in link for link in hit.term.chain)
 
     def test_rpl1001_respects_a_sufficient_budget(self):
         """hot_alloc closes at O(n_nodes) under an n_nodes budget: the
@@ -318,7 +338,7 @@ class TestRepeatSemantics:
 
 
 # ----------------------------------------------------------------------
-# repro-cost CLI
+# repro-lint --report cost
 # ----------------------------------------------------------------------
 COST_PROJECT_TABLE = (
     "[tool.repro-lint.cost]\n"
@@ -339,7 +359,7 @@ def write_cost_project(tmp_path) -> Path:
 
 class TestCostCLI:
     def test_text_report_on_package_is_clean(self, capsys):
-        code = cost_main([str(PACKAGE), "--check"])
+        code = lint_main([str(PACKAGE), "--report", "cost"])
         out = capsys.readouterr()
         assert code == 0, out.err
         assert "cost budgets" in out.out
@@ -349,7 +369,7 @@ class TestCostCLI:
 
     def test_check_fails_on_bad_tree(self, tmp_path, capsys):
         tree = write_cost_project(tmp_path)
-        code = cost_main([str(tree), "--check"])
+        code = lint_main([str(tree), "--report", "cost"])
         out = capsys.readouterr()
         assert code == 1
         assert "BUDGET VIOLATIONS" in out.out
@@ -358,9 +378,9 @@ class TestCostCLI:
 
     def test_json_report_schema(self, tmp_path, capsys):
         tree = write_cost_project(tmp_path)
-        code = cost_main([str(tree), "--format", "json"])
+        code = lint_main([str(tree), "--report", "cost", "--format", "json"])
         out = capsys.readouterr()
-        assert code == 0
+        assert code == 1
         payload = json.loads(out.out)
         assert set(payload) >= {
             "budgets",
@@ -384,17 +404,17 @@ class TestCostCLI:
 
     def test_missing_path_is_usage_error(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        assert cost_main([]) == 2
+        assert lint_main(["--report", "cost"]) == 2
 
     def test_malformed_config_is_usage_error(self, tmp_path, capsys):
         (tmp_path / "mod.py").write_text("def fn():\n    return 1\n")
         (tmp_path / "pyproject.toml").write_text(
             "[tool.repro-lint.cost]\nbudgetss = []\n"
         )
-        code = cost_main([str(tmp_path)])
+        code = lint_main([str(tmp_path), "--report", "cost"])
         out = capsys.readouterr()
         assert code == 2
-        assert "repro-cost:" in out.err
+        assert "repro-lint:" in out.err
 
 
 # ----------------------------------------------------------------------
@@ -454,8 +474,8 @@ class TestCostConfigAndCache:
 class TestRepoCostBudgets:
     """Mirrors repro-lint-src-is-clean for the COST family, plus the
     acceptance mutations that must break the gate: re-introducing a
-    full fleet scan on either per-event path flips repro-cost to
-    exit 1."""
+    full fleet scan on either per-event path flips
+    ``repro-lint --report cost`` to exit 1."""
 
     def test_package_tree_is_cost_clean(self):
         findings = run_lint([PACKAGE], LintConfig(select=COST_IDS))
@@ -483,7 +503,7 @@ class TestRepoCostBudgets:
             "for index in [node_state.index "
             "for node_state in self.cluster.nodes]:",
         )
-        code = cost_main([str(tree), "--check"])
+        code = lint_main([str(tree), "--report", "cost"])
         out = capsys.readouterr()
         assert code == 1
         assert "_find_target" in out.out
@@ -501,7 +521,7 @@ class TestRepoCostBudgets:
             "candidates = [node_state.index "
             "for node_state in self.cluster.nodes]",
         )
-        code = cost_main([str(tree), "--check"])
+        code = lint_main([str(tree), "--report", "cost"])
         out = capsys.readouterr()
         assert code == 1
         assert "_on_recheck" in out.out

@@ -1,4 +1,4 @@
-"""repro-flow: lock-order graph edge cases, the CLI report, and the
+"""FLOW family: lock-order graph edge cases, the CLI report, and the
 incremental lint cache."""
 
 from __future__ import annotations
@@ -161,13 +161,16 @@ class TestLockOrderGraph:
 
 
 # ----------------------------------------------------------------------
-# repro-flow CLI
+# repro-lint --report flow
 # ----------------------------------------------------------------------
 def run_flow_cli(*args, cwd=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
     return subprocess.run(
-        [sys.executable, "-m", "repro.analysis.flow_cli", *args],
+        [
+            sys.executable, "-m", "repro.analysis.cli", "--report", "flow",
+            *args,
+        ],
         capture_output=True,
         text=True,
         env=env,
@@ -196,7 +199,7 @@ CYCLE_SOURCE = (
 
 class TestFlowCLI:
     def test_text_report_on_package(self):
-        result = run_flow_cli(str(PACKAGE), "--check")
+        result = run_flow_cli(str(PACKAGE))
         assert result.returncode == 0, result.stderr
         assert "lock-order graph" in result.stdout
         assert "entry-point lock coverage" in result.stdout
@@ -206,7 +209,7 @@ class TestFlowCLI:
     def test_json_report_schema(self, tmp_path):
         (tmp_path / "mod.py").write_text(CYCLE_SOURCE)
         result = run_flow_cli(str(tmp_path / "mod.py"), "--format", "json")
-        assert result.returncode == 0
+        assert result.returncode == 1
         payload = json.loads(result.stdout)
         assert set(payload) >= {
             "locks", "edges", "cycles", "entry_locks", "escapes", "blocking",
@@ -215,7 +218,7 @@ class TestFlowCLI:
 
     def test_check_fails_on_cycle(self, tmp_path):
         (tmp_path / "mod.py").write_text(CYCLE_SOURCE)
-        result = run_flow_cli(str(tmp_path / "mod.py"), "--check")
+        result = run_flow_cli(str(tmp_path / "mod.py"))
         assert result.returncode == 1
         assert "CYCLES: 1" in result.stdout
         assert "cycle" in result.stderr

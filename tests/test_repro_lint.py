@@ -687,6 +687,16 @@ class TestCLI:
         assert counts.get("RPL703") == 1  # the Eq. 5 floor literal
         assert payload["finding_count"] >= 3
 
+    def test_fixture_corpus_matches_golden_findings(self):
+        """Every finding on the fixture corpus — rule, path, line,
+        column, message and hint — is pinned byte for byte."""
+        result = run_cli(
+            "tests/lint_fixtures", "--format", "json", "--no-cache"
+        )
+        assert result.returncode == 1, result.stderr
+        golden = (FIXTURES / "golden_findings.json").read_text()
+        assert result.stdout == golden
+
     def test_select_units_family_clean_on_package(self):
         """The dogfooding gate: ``--select UNITS`` is clean on src/repro."""
         result = run_cli(str(PACKAGE), "--select", "UNITS")

@@ -1,4 +1,4 @@
-"""repro-pure: PURE-family (RPL9xx) rule behavior on the effect
+"""PURE-family (RPL9xx) rule behavior on the effect
 fixtures, interprocedural effect closures, the CLI report, cache
 coverage of the nested pure table, and the meta-tests pinning the
 repo's own probe/commit split."""
@@ -16,10 +16,10 @@ import pytest
 
 from repro.analysis import LintConfig, run_lint
 from repro.analysis.cache import LintCache, cache_key, config_digest
+from repro.analysis.cli import main as lint_main
 from repro.analysis.config import load_config
 from repro.analysis.engine import LintEngine
 from repro.analysis.pure import pure_analysis
-from repro.analysis.pure_cli import main as pure_main
 
 FIXTURES = Path(__file__).resolve().parent / "lint_fixtures"
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -147,21 +147,31 @@ class TestEffectFixtures:
 
     def test_interprocedural_mutation_two_calls_deep(self):
         """tally -> relay -> deep_mutate: the parameter mutation is
-        charged to the registered-pure root through argument binding."""
-        analysis = analyse_fixture("effect_bad.py", bad_config())
-        deep = [
-            hit
-            for hit in analysis.mutations
-            if hit.root_key.endswith(":tally")
-        ]
-        assert len(deep) == 1
-        effect = deep[0].effect
-        assert effect.root == "param:items"
-        assert effect.chain == ("relay", "deep_mutate")
-        # The sibling call relay(log) mutates a fresh local: not charged.
-        assert all(
-            h.effect.root != "param:log" for h in analysis.mutations
+        charged to the registered-pure root through argument binding.
+        Ping.pong reaches Ping.ping's write only around their call
+        cycle, even though Ping.ping is closed first."""
+        cases = (
+            ("effect_bad.py", bad_config(), ":tally", "param:items",
+             ("relay", "deep_mutate")),
+            ("cycle_bad.py", LintConfig(select=PURE_IDS), ":Ping.pong",
+             "self", ("Ping.ping",)),
         )
+        for filename, config, root, effect_root, chain in cases:
+            analysis = analyse_fixture(filename, config)
+            deep = [
+                hit
+                for hit in analysis.mutations
+                if hit.root_key.endswith(root)
+            ]
+            assert len(deep) == 1, filename
+            effect = deep[0].effect
+            assert effect.root == effect_root
+            assert effect.chain == chain
+            # The sibling call relay(log) mutates a fresh local: not
+            # charged.
+            assert all(
+                h.effect.root != "param:log" for h in analysis.mutations
+            )
 
     def test_rpl905_stale_entry_fires_only_for_present_modules(self):
         stale = bad_config(
@@ -378,13 +388,16 @@ class TestPrecision:
 
 
 # ----------------------------------------------------------------------
-# repro-pure CLI
+# repro-lint --report pure
 # ----------------------------------------------------------------------
 def run_pure_cli(*args, cwd=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
     return subprocess.run(
-        [sys.executable, "-m", "repro.analysis.pure_cli", *args],
+        [
+            sys.executable, "-m", "repro.analysis.cli", "--report", "pure",
+            *args,
+        ],
         capture_output=True,
         text=True,
         env=env,
@@ -394,7 +407,7 @@ def run_pure_cli(*args, cwd=None):
 
 class TestPureCLI:
     def test_text_report_on_package_is_clean(self):
-        result = run_pure_cli(str(PACKAGE), "--check")
+        result = run_pure_cli(str(PACKAGE))
         assert result.returncode == 0, result.stderr
         assert "declared-pure registry" in result.stdout
         assert "probe_admit" in result.stdout
@@ -405,7 +418,7 @@ class TestPureCLI:
         result = run_pure_cli(
             str(FIXTURES / "effect_bad.py"), "--format", "json"
         )
-        assert result.returncode == 0
+        assert result.returncode == 1
         payload = json.loads(result.stdout)
         assert set(payload) >= {
             "pure_roots",
@@ -422,7 +435,7 @@ class TestPureCLI:
         assert payload["violations"] >= 1
 
     def test_check_fails_on_bad_fixture(self):
-        result = run_pure_cli(str(FIXTURES / "effect_bad.py"), "--check")
+        result = run_pure_cli(str(FIXTURES / "effect_bad.py"))
         assert result.returncode == 1
         assert "violation(s) found" in result.stderr
 
@@ -518,14 +531,14 @@ class TestRepoPurity:
 
     def test_set_shaped_probe_walk_fails_the_check(self, tmp_path, capsys):
         """Acceptance: routing the probe walk through a set (hash-order
-        probing) must flip repro-pure to exit 1."""
+        probing) must flip ``repro-lint --report pure`` to exit 1."""
         tree = self._mutated_package(
             tmp_path,
             "warehouse/service.py",
             "for index in self._by_density[density]:",
             "for index in set(self._by_density[density]):",
         )
-        code = pure_main([str(tree), "--check"])
+        code = lint_main([str(tree), "--report", "pure"])
         out = capsys.readouterr()
         assert code == 1
         assert "_by_density" in out.out
@@ -533,14 +546,14 @@ class TestRepoPurity:
 
     def test_probe_attribute_write_fails_the_check(self, tmp_path, capsys):
         """Acceptance: one attribute write inside QuickProbe.check must
-        flip repro-pure to exit 1."""
+        flip ``repro-lint --report pure`` to exit 1."""
         tree = self._mutated_package(
             tmp_path,
             "warehouse/admission.py",
             "tried = set()",
             "tried = set()\n        self._last_node = node_state.index",
         )
-        code = pure_main([str(tree), "--check"])
+        code = lint_main([str(tree), "--report", "pure"])
         out = capsys.readouterr()
         assert code == 1
         assert "QuickProbe.check" in out.out
@@ -555,7 +568,7 @@ class TestRepoPurity:
             "        # repro-lint: disable-next-line=RPL902\n",
             "",
         )
-        code = pure_main([str(tree), "--check"])
+        code = lint_main([str(tree), "--report", "pure"])
         out = capsys.readouterr()
         assert code == 1
         assert "ObservationStore.put" in out.out

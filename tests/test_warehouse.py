@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from conftest import make_bg, make_lc
@@ -72,6 +74,14 @@ class TestEventQueue:
         assert queue.peek_time() == 4.0
         assert queue.last_time() == 9.0
         assert len(queue) == 2 and bool(queue)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_times(self, bad):
+        """A NaN time breaks heap order for every later event."""
+        queue = EventQueue()
+        with pytest.raises(ValueError, match="finite"):
+            queue.push(bad, Departure("x"))
+        assert len(queue) == 0
 
 
 class TestEventLoop:
@@ -502,7 +512,7 @@ class TestTimelineCursor:
 
 class IndexFreeService(WarehouseService):
     """The pre-index reference implementation: full-fleet candidate
-    scans for admission and recheck (the code repro-cost flagged),
+    scans for admission and recheck (the code RPL1001 flagged),
     adapted only to the threaded-loads ``_rebalance_node`` signature.
     The density-bucket service must stay bit-identical to it."""
 

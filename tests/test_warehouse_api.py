@@ -54,6 +54,10 @@ class TestJobFromSpec:
             ({"workload": "memcached", "schedule": [[1, 2, 3]]}, "schedule"),
             ({"workload": "memcached", "name": ""}, "name"),
             ({"workload": "memcached", "at": "now"}, "'at'"),
+            ({"workload": "canneal", "at": float("nan")}, "'at'"),
+            ({"workload": "canneal", "at": float("inf")}, "'at'"),
+            ({"workload": "memcached", "load": True}, "'load'"),
+            ({"workload": "memcached", "load": float("nan")}, "'load'"),
         ],
     )
     def test_bad_specs_raise(self, spec, message):
@@ -148,7 +152,7 @@ class TestHTTPEndpoints:
         assert commands[1].at_s == 50.0
 
     def test_bad_requests_are_400(self, api_server):
-        _, server = api_server
+        gateway, server = api_server
         with pytest.raises(urllib.error.HTTPError) as err:
             _post(f"{server.url}/submit", b"{not json")
         assert err.value.code == 400
@@ -158,6 +162,15 @@ class TestHTTPEndpoints:
         with pytest.raises(urllib.error.HTTPError) as err:
             _post(f"{server.url}/depart", {"name": 3})
         assert err.value.code == 400
+        # json.loads reads a bare NaN; queueing it would break heap order.
+        for path, spec in (
+            ("submit", {"workload": "canneal", "at": float("nan")}),
+            ("depart", {"name": "bg-1", "at": float("nan")}),
+        ):
+            with pytest.raises(urllib.error.HTTPError) as err:
+                _post(f"{server.url}/{path}", spec)
+            assert err.value.code == 400
+        assert gateway.drain() == []
 
     def test_unknown_paths_are_404(self, api_server):
         _, server = api_server
