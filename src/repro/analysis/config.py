@@ -194,7 +194,6 @@ class LintConfig:
         ".result",
         ".serve_forever",
         "Node.observe",
-        "Node.prime",
         "Node.true_performance",
         "open",
         "os.fsync",
@@ -211,7 +210,6 @@ class LintConfig:
     flow_longlived: Tuple[str, ...] = (
         "MetricRegistry",
         "Node",
-        "ObservationService",
         "ObservationStore",
         "Tracer",
     )

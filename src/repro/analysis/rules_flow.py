@@ -36,8 +36,8 @@ class LockOrderCycle(Rule):
     autofix_hint = (
         "Impose a global lock order (acquire in one documented order "
         "everywhere) or narrow one critical section so the second lock "
-        "is taken after the first is released; repro-flow renders the "
-        "full graph."
+        "is taken after the first is released; `repro-lint --report "
+        "flow` renders the full graph."
     )
 
     def check(self, project: Project, config: LintConfig) -> Iterator[Finding]:

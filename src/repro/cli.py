@@ -136,11 +136,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         raise SystemExit("error: --batch-k applies only to --policy CLITE")
     if args.batch_k > 1:
         policy = CLITEPolicy(
-            config=CLITEConfig(
-                seed=args.seed,
-                batch_k=args.batch_k,
-                parallel_observe=True,
-            )
+            config=CLITEConfig(seed=args.seed, batch_k=args.batch_k)
         )
     else:
         policy = STANDARD_POLICIES[args.policy](args.seed)

@@ -18,7 +18,6 @@ import numpy as np
 from ..resources.allocation import Configuration
 from ..resources.spec import CORES
 from ..server.node import Node, Observation
-from ..server.observe import ObservationService
 from ..telemetry import NULL_TELEMETRY, Telemetry, TelemetrySnapshot
 from .acquisition import AcquisitionFunction, ExpectedImprovement
 from .bootstrap import bootstrap_configurations, run_bootstrap
@@ -77,14 +76,6 @@ class CLITEConfig:
             kept only when the measured score improves).
         refine_patience: Consecutive rejected refinement moves before
             the phase gives up.
-        exploit_every: Run a pure-exploitation round every this-many
-            iterations (0, the default, disables): a greedy walk on the
-            GP posterior mean through single-unit transfers from the
-            incumbent, whose endpoint is then observed.  Kept as an
-            ablation knob — on this benchmark suite the per-unit score
-            deltas sit below the surrogate's resolution, so the walk
-            follows model bias and measurably *hurts* final quality
-            compared to spending the same windows on EI sampling.
         stop_on_infeasible: Abort early when some LC job misses QoS even
             at maximum allocation ("schedule it elsewhere").
         batch_k: Top-ranked acquisition candidates observed per BO
@@ -94,16 +85,6 @@ class CLITEConfig:
             dominant CPU cost — over k observation windows, trading
             some sample-efficiency fidelity (candidates 2..k are chosen
             without seeing candidate 1's outcome) for wall-clock.
-        parallel_observe: With ``batch_k > 1``, warm the node's truth
-            caches for the whole batch concurrently before the serial
-            observe loop runs.  Results are deterministic for a given
-            seed regardless of worker count or completion order: the
-            workers only precompute noise-free truths at the exact
-            (config, time) points the serial loop will visit, and every
-            clock advance and noise draw still happens serially in
-            candidate-rank order.
-        observe_workers: Thread-pool width for ``parallel_observe``
-            (default: the batch size, capped at 8).
         seed: Seed for all engine randomness.
         telemetry: Optional :class:`repro.telemetry.Telemetry` context.
             When given, the engine wraps each Algorithm 1 phase in a
@@ -130,14 +111,11 @@ class CLITEConfig:
     ei_min_iterations: int = 8
     confirm_top: int = 3
     constrained_execution: bool = True
-    exploit_every: int = 0
     post_qos_iterations: int = 20
     refine_budget: int = 20
     refine_patience: int = 5
     stop_on_infeasible: bool = True
     batch_k: int = 1
-    parallel_observe: bool = False
-    observe_workers: Optional[int] = None
     seed: Optional[int] = None
     telemetry: Optional[Telemetry] = None
 
@@ -222,12 +200,6 @@ class CLITEEngine:
             else NULL_TELEMETRY
         )
         self._tracer = self._telemetry.tracer
-        self._service = ObservationService(
-            self.node,
-            parallel=self.config.parallel_observe,
-            workers=self.config.observe_workers,
-            telemetry=self._telemetry,
-        )
         self.score_fn = ScoreFunction()
         self._dropout = DropoutCopy(
             random_job_prob=self.config.dropout_random_prob,
@@ -311,19 +283,13 @@ class CLITEEngine:
         if telemetry.active and not self.node.telemetry.active:
             self.node.telemetry = telemetry
         spans_before = telemetry.tracer.finished_count
-        try:
-            with telemetry.tracer.span(
-                "engine.optimize", jobs=self.node.n_jobs
-            ) as span:
-                result = self._optimize()
-                span.set("samples", result.samples_taken)
-                span.set("qos_met", result.qos_met)
-                span.set("converged", result.converged)
-        finally:
-            # Release the observation pool's worker threads even when a
-            # run dies mid-loop; the service re-creates its pool lazily,
-            # so the engine stays reusable after this.
-            self._service.close()
+        with telemetry.tracer.span(
+            "engine.optimize", jobs=self.node.n_jobs
+        ) as span:
+            result = self._optimize()
+            span.set("samples", result.samples_taken)
+            span.set("qos_met", result.qos_met)
+            span.set("converged", result.converged)
         if not telemetry.active:
             return result
         telemetry.metrics.counter("engine.runs").add()
@@ -417,33 +383,15 @@ class CLITEEngine:
                     continue
 
             dropout = self._dropout.choose(self.node)
-            exploit_round = (
-                self.config.exploit_every > 0
-                and iteration % self.config.exploit_every
-                == self.config.exploit_every - 1
-            )
             with self._tracer.span("engine.propose", iteration=iteration):
-                if exploit_round:
-                    proposal = self._optimizer.propose_exploit(
-                        gp,
-                        incumbent=best_record.config,
-                        sampled=sampled,
-                        upper_caps=self._upper_caps(records),
-                    )
-                else:
-                    proposal = self._optimizer.propose(
-                        gp,
-                        best_score=best_record.score,
-                        sampled=sampled,
-                        incumbent=best_record.config,
-                        dropout=dropout,
-                        upper_caps=self._upper_caps(records),
-                        max_candidates=(
-                            self.config.batch_k
-                            if self.config.batch_k > 1
-                            else None
-                        ),
-                    )
+                proposal = self._optimizer.propose(
+                    gp,
+                    best_score=best_record.score,
+                    sampled=sampled,
+                    incumbent=best_record.config,
+                    dropout=dropout,
+                    upper_caps=self._upper_caps(records),
+                )
             if first_qos_iteration is None and any(
                 r.observation.all_qos_met for r in records
             ):
@@ -453,7 +401,7 @@ class CLITEEngine:
                 and iteration - first_qos_iteration
                 >= self.config.post_qos_iterations
             )
-            should_stop = not exploit_round and self._termination.update(
+            should_stop = self._termination.update(
                 proposal.max_acquisition, self.node.n_jobs
             )
             if should_stop and stop_allowed:
@@ -470,9 +418,9 @@ class CLITEEngine:
                 picks = [(self._random_unseen(sampled), None)]
 
             with self._tracer.span("engine.observe", phase="search"):
-                observations = self._service.observe_batch(
-                    [config for config, _ in picks]
-                )
+                observations = [
+                    self.node.observe(config) for config, _ in picks
+                ]
             for (config, ei), observation in zip(picks, observations):
                 score = self.score_fn(observation)
                 self._dropout.update(config, observation, self.node)

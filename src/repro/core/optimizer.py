@@ -57,12 +57,13 @@ class Proposal:
         candidates: Unseen configurations ranked by acquisition value,
             best first.  May be empty if every optimum rounds onto an
             already-sampled point.
-        max_acquisition: Largest acquisition value over the *continuous*
-            SLSQP optima — the "expected improvement" signal the
-            termination condition watches.  Using the relaxation rather
-            than the rounded lattice points keeps the signal from
-            collapsing just because the optima round onto
-            already-sampled configurations.
+        max_acquisition: Largest acquisition value over the
+            *continuous* SLSQP optima and the screened lattice pool —
+            the "expected improvement" signal the termination condition
+            watches.  Taking it before the unseen filter, rather than
+            over the ranked candidates, keeps the signal from collapsing
+            just because the optima round onto already-sampled
+            configurations.
     """
 
     candidates: Tuple[Candidate, ...]
@@ -330,56 +331,6 @@ class AcquisitionOptimizer:
         return mats
 
     # ------------------------------------------------------------------
-    # Pure exploitation: greedy walk on the posterior mean
-    # ------------------------------------------------------------------
-    @proposal_contract
-    def propose_exploit(
-        self,
-        gp: GaussianProcess,
-        incumbent: Configuration,
-        sampled: Set[Tuple[int, ...]],
-        upper_caps: Optional[np.ndarray] = None,
-        max_steps: int = 25,
-    ) -> Proposal:
-        """Hill-climb the GP mean from the incumbent via unit transfers.
-
-        One observation of the walk's endpoint can advance the
-        partition by many units at once, which is how the post-QoS
-        "reshuffle resources toward the BG jobs" phase converges in a
-        handful of samples instead of one unit per window.
-        """
-        current = incumbent
-        (current_mean,), _ = gp.predict(
-            self.space.to_unit_cube(current)[None, :]
-        )
-        best_unseen: Optional[Tuple[Configuration, float]] = None
-        for _ in range(max_steps):
-            neighbors = [
-                self._repair_caps(n, upper_caps, None)
-                for n in self.space.neighbors(current)
-            ]
-            neighbors = [n for n in neighbors if n.flat() != current.flat()]
-            if not neighbors:
-                break
-            cube = np.array([self.space.to_unit_cube(n) for n in neighbors])
-            means, _ = gp.predict(cube)
-            step = int(np.argmax(means))
-            if means[step] <= current_mean + 1e-12:
-                break
-            current, current_mean = neighbors[step], float(means[step])
-            if current.flat() not in sampled and (
-                best_unseen is None or current_mean > best_unseen[1]
-            ):
-                best_unseen = (current, current_mean)
-        if best_unseen is None:
-            return Proposal(candidates=(), max_acquisition=0.0)
-        config, mean = best_unseen
-        return Proposal(
-            candidates=(Candidate(config=config, acquisition_value=mean),),
-            max_acquisition=mean,
-        )
-
-    # ------------------------------------------------------------------
     # The optimization itself
     # ------------------------------------------------------------------
     def _start_points(
@@ -407,8 +358,6 @@ class AcquisitionOptimizer:
         incumbent: Optional[Configuration] = None,
         dropout: Optional[DropoutDecision] = None,
         upper_caps: Optional[np.ndarray] = None,
-        acquisition: Optional[AcquisitionFunction] = None,
-        max_candidates: Optional[int] = None,
     ) -> Proposal:
         """Maximize the acquisition and return ranked unseen candidates.
 
@@ -422,15 +371,7 @@ class AcquisitionOptimizer:
                 caps — the paper's "constrained execution" pruning of
                 likely-to-be-sub-optimal partitions (Eqs. 4-6 with
                 individual per-job, per-resource constraints).
-            acquisition: One-off acquisition override for this round
-                (the engine uses it for pure-exploitation rounds).
-            max_candidates: Keep only the top-k of the ranked unseen
-                candidates (the engine's batch mode passes its
-                ``batch_k``).  ``None`` returns the full ranking;
-                ``max_acquisition`` is unaffected either way.
         """
-        if max_candidates is not None and max_candidates < 1:
-            raise ValueError("max_candidates must be >= 1")
         with self._tracer.span("optimizer.propose") as span:
             proposal = self._propose_impl(
                 gp,
@@ -439,16 +380,7 @@ class AcquisitionOptimizer:
                 incumbent=incumbent,
                 dropout=dropout,
                 upper_caps=upper_caps,
-                acquisition=acquisition,
             )
-            if (
-                max_candidates is not None
-                and len(proposal.candidates) > max_candidates
-            ):
-                proposal = Proposal(
-                    candidates=proposal.candidates[:max_candidates],
-                    max_acquisition=proposal.max_acquisition,
-                )
             span.set("candidates", len(proposal.candidates))
             span.set("max_acquisition", proposal.max_acquisition)
         return proposal
@@ -461,9 +393,8 @@ class AcquisitionOptimizer:
         incumbent: Optional[Configuration] = None,
         dropout: Optional[DropoutDecision] = None,
         upper_caps: Optional[np.ndarray] = None,
-        acquisition: Optional[AcquisitionFunction] = None,
     ) -> Proposal:
-        acq_fn = acquisition if acquisition is not None else self.acquisition
+        acq_fn = self.acquisition
         space = self.space
         pinned = dropout is not None and dropout.job_index is not None
 

@@ -136,7 +136,7 @@ def partition_contract(fn: F) -> F:
 
 
 def proposal_contract(fn: F) -> F:
-    """For acquisition ``propose``/``propose_exploit`` methods.
+    """For acquisition ``propose`` methods.
 
     Every candidate configuration in the returned proposal must be a
     valid point of the optimizer's space.

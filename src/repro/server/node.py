@@ -233,8 +233,8 @@ class Node:
         self._history: List[Observation] = []
         # The simulator is deterministic given a partition and the LC
         # loads, so noise-free truths are memoized per lattice point.
-        # The lock covers the cache and its counters: prime() warms the
-        # cache from pool workers while observe() stays serial.
+        # The lock covers the cache and its counters, which stay
+        # consistent when threads share the node.
         self._cache_lock = threading.RLock()
         self._obs_cache: Dict[tuple, Observation] = {}
         self._cache_hits = 0
@@ -380,11 +380,8 @@ class Node:
         """The store fingerprint of this node's physics (None storeless)."""
         return self._fingerprint
 
-    def _cache_key(
-        self, config: Configuration, at_time: Optional[Seconds] = None
-    ) -> tuple:
+    def _cache_key(self, config: Configuration, t: Seconds) -> tuple:
         """What the truth of one window depends on: partition + LC loads."""
-        t = self._clock_s if at_time is None else at_time
         loads = tuple(
             job.load.load_at(t) for job in self.jobs if job.is_lc
         )
@@ -411,36 +408,7 @@ class Node:
         # repro-lint: disable-next-line=RPL902
         self.store.put(self._fingerprint, flat, loads, truth.jobs)
 
-    def _truth_for(
-        self, config: Configuration, key: tuple, at_time: Seconds
-    ) -> Observation:
-        """Store→physics fallthrough on an in-memory miss.
-
-        The physics run happens outside the cache lock so concurrent
-        ``prime`` workers do not serialize; a racing double-compute is
-        harmless because the truth is deterministic.
-        """
-        jobs = self._store_lookup(key)
-        if jobs is not None:
-            truth = Observation(
-                config=config,
-                time_s=at_time,
-                window_s=self.window_s,
-                jobs=jobs,
-            )
-        else:
-            truth = self.true_performance(config, at_time=at_time)
-            with self._cache_lock:
-                self._physics_count += 1
-            self._store_publish(key, truth)
-        with self._cache_lock:
-            if len(self._obs_cache) < self.CACHE_MAX_ENTRIES:
-                self._obs_cache[key] = truth
-        return truth
-
-    def _cached_truth(
-        self, config: Configuration, at_time: Optional[Seconds] = None
-    ) -> Observation:
+    def _cached_truth(self, config: Configuration) -> Observation:
         """The noise-free truth of ``config`` now, memoized.
 
         The simulator is deterministic given the partition and the LC
@@ -451,9 +419,11 @@ class Node:
         so noisy-counter runs see exactly the same readings they would
         without the cache.  When an :class:`~.obstore.ObservationStore`
         is attached, in-memory misses fall through to it before paying
-        the physics cost, and fresh truths are published back.
+        the physics cost, and fresh truths are published back.  The
+        physics runs outside the cache lock; a racing double-compute is
+        harmless because the truth is deterministic.
         """
-        t = self._clock_s if at_time is None else at_time
+        t = self._clock_s
         if not self.cache_enabled:
             with self._cache_lock:
                 self._physics_count += 1
@@ -467,31 +437,20 @@ class Node:
                 return truth
             self._cache_misses += 1
             self.telemetry.metrics.counter("node.cache.misses").add()
-        return self._truth_for(config, key, t)
-
-    def prime(
-        self, config: Configuration, at_time: Optional[Seconds] = None
-    ) -> bool:
-        """Warm the truth caches for ``config`` at ``at_time``.
-
-        Side-effect-free with respect to everything a trajectory depends
-        on: no clock advance, no history append, no isolation change, no
-        noise draw, and no hit/miss accounting.  Thread-safe — the
-        engine's batch mode calls this from pool workers for the times
-        its serial observe loop is about to visit, so the subsequent
-        ``observe`` calls are pure cache hits in a deterministic order.
-
-        Returns True when the truth was not already in memory.
-        """
-        if not self.cache_enabled:
-            return False
-        t = self._clock_s if at_time is None else at_time
-        key = self._cache_key(config, t)
+        jobs = self._store_lookup(key)
+        if jobs is not None:
+            truth = Observation(
+                config=config, time_s=t, window_s=self.window_s, jobs=jobs
+            )
+        else:
+            truth = self.true_performance(config, at_time=t)
+            with self._cache_lock:
+                self._physics_count += 1
+            self._store_publish(key, truth)
         with self._cache_lock:
-            if key in self._obs_cache:
-                return False
-        self._truth_for(config, key, t)
-        return True
+            if len(self._obs_cache) < self.CACHE_MAX_ENTRIES:
+                self._obs_cache[key] = truth
+        return truth
 
     def observe(self, config: Configuration) -> Observation:
         """Enact ``config``, run one observation window, read the counters.

@@ -46,6 +46,9 @@ from .events import WarehouseJob
 
 JSON_CONTENT_TYPE = "application/json; charset=utf-8"
 
+#: Largest ``POST`` body the control plane reads; longer ones get 413.
+MAX_BODY_BYTES = 64 * 1024
+
 
 @dataclass(frozen=True)
 class GatewayCommand:
@@ -208,7 +211,21 @@ class _WarehouseHandler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:  # noqa: N802 - http.server API
         path = self.path.split("?", 1)[0]
         gateway: ServiceGateway = self.server.gateway  # type: ignore[attr-defined]
-        length = int(self.headers.get("Content-Length") or 0)
+        header = self.headers.get("Content-Length") or "0"
+        if not (header.isascii() and header.isdigit()):
+            # The body was not read, so the connection cannot be reused.
+            self.close_connection = True
+            self._respond_json(
+                400, {"error": f"bad Content-Length {header!r}"}
+            )
+            return
+        length = int(header)
+        if length > MAX_BODY_BYTES:
+            self.close_connection = True
+            self._respond_json(
+                413, {"error": f"body over {MAX_BODY_BYTES} bytes"}
+            )
+            return
         raw = self.rfile.read(length) if length else b"{}"
         try:
             spec = json.loads(raw.decode("utf-8"))

@@ -122,23 +122,3 @@ class TestUpperCaps:
         )
         for candidate in proposal.candidates:
             quiet_node.space.validate(candidate.config)
-
-
-class TestExploitWalk:
-    def test_exploit_proposes_valid_unseen(self, quiet_node, fitted):
-        gp, sampled, best, incumbent = fitted
-        opt = AcquisitionOptimizer(quiet_node.space, rng=np.random.default_rng(0))
-        proposal = opt.propose_exploit(gp, incumbent, sampled)
-        for candidate in proposal.candidates:
-            quiet_node.space.validate(candidate.config)
-            assert candidate.config.flat() not in sampled
-
-    def test_exploit_empty_when_mean_flat(self, quiet_node):
-        """A constant GP gives the walk nowhere to go."""
-        x = np.array([quiet_node.space.to_unit_cube(quiet_node.space.equal_partition())])
-        gp = GaussianProcess().fit(x, np.array([0.5]))
-        opt = AcquisitionOptimizer(quiet_node.space, rng=np.random.default_rng(0))
-        proposal = opt.propose_exploit(
-            gp, quiet_node.space.equal_partition(), {x.tobytes()}
-        )
-        assert proposal.max_acquisition == 0.0 or proposal.candidates

@@ -152,12 +152,6 @@ class TestCLITEEngine:
         # score never exceeds the raw per-sample maximum.
         assert result.best_score <= max(r.score for r in result.samples) + 1e-12
 
-    def test_exploit_rounds_run(self, mini_server):
-        node = make_node(mini_server, lc_loads=(0.3, 0.2), n_bg=1, noise=0.01)
-        config = small_engine_config(exploit_every=2, max_iterations=6)
-        result = CLITEEngine(node, config).optimize()
-        assert result.best_config is not None
-
     def test_no_dropout_ablation(self, mini_server):
         node = make_node(mini_server, lc_loads=(0.3, 0.2), n_bg=1, noise=0.01)
         config = small_engine_config(dropout_enabled=False)

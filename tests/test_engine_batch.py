@@ -1,10 +1,9 @@
-"""Batched acquisition + concurrent observation (``batch_k``).
+"""Batched acquisition (``batch_k``).
 
 The contract under test: ``batch_k=1`` (the default) is the paper's
 sequential Algorithm 1, bit for bit; ``batch_k > 1`` trades some
 sample-efficiency fidelity for wall-clock but must stay seed-
-deterministic regardless of thread-pool width or worker completion
-order.
+deterministic and observe at most ``batch_k`` candidates per BO round.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ import pytest
 
 from conftest import make_node
 from repro.core import CLITEConfig, CLITEEngine
-from repro.server import ObservationService
 from repro.telemetry import Telemetry
 from test_core_termination_engine import small_engine_config
 
@@ -40,52 +38,24 @@ class TestBatchConfigValidation:
         with pytest.raises(ValueError, match="batch_k"):
             CLITEEngine(node, small_engine_config(batch_k=0))
 
-    def test_worker_count_must_be_positive(self, quiet_node):
-        with pytest.raises(ValueError, match="workers"):
-            ObservationService(quiet_node, workers=0)
-
 
 class TestSequentialFidelity:
     def test_explicit_batch_k_1_matches_default(self, mini_server):
-        """batch_k=1 routes through the service yet changes nothing."""
+        """Passing batch_k=1 explicitly changes nothing."""
         assert trajectory(mini_server) == trajectory(mini_server, batch_k=1)
-
-    def test_parallel_flag_inert_at_k_1(self, mini_server):
-        """parallel_observe cannot touch single-candidate batches."""
-        assert trajectory(mini_server, batch_k=1) == trajectory(
-            mini_server, batch_k=1, parallel_observe=True, observe_workers=4
-        )
 
 
 class TestBatchDeterminism:
     def test_same_seed_same_trajectory(self, mini_server):
-        kwargs = dict(batch_k=4, parallel_observe=True)
+        kwargs = dict(batch_k=4)
         assert trajectory(mini_server, **kwargs) == trajectory(
             mini_server, **kwargs
         )
 
-    def test_worker_count_is_invisible(self, mini_server):
-        """2-wide and 8-wide pools finish primes in different orders;
-        the trajectory must not notice."""
-        narrow = trajectory(
-            mini_server, batch_k=4, parallel_observe=True, observe_workers=2
-        )
-        wide = trajectory(
-            mini_server, batch_k=4, parallel_observe=True, observe_workers=8
-        )
-        assert narrow == wide
-
-    def test_serial_priming_matches_parallel(self, mini_server):
-        """parallel_observe only moves physics onto threads — the
-        observations themselves are identical to inline priming."""
-        inline = trajectory(mini_server, batch_k=4, parallel_observe=False)
-        threaded = trajectory(mini_server, batch_k=4, parallel_observe=True)
-        assert inline == threaded
-
     def test_different_seeds_differ(self, mini_server):
-        assert trajectory(
-            mini_server, seed=0, batch_k=4, parallel_observe=True
-        ) != trajectory(mini_server, seed=1, batch_k=4, parallel_observe=True)
+        assert trajectory(mini_server, seed=0, batch_k=4) != trajectory(
+            mini_server, seed=1, batch_k=4
+        )
 
 
 class TestBatchBudget:
@@ -122,18 +92,36 @@ class TestBatchBudget:
         assert len(counts) == 1
 
 
-class TestBatchTelemetry:
-    def test_batch_counters(self, mini_server):
+class TestBatchRoundCap:
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_round_observes_at_most_k_windows(self, mini_server, k):
+        """Each BO round observes at most ``batch_k`` search windows.
+
+        Counted per ``engine.observe`` (phase=search) span: every
+        ``node.observe`` span it parents is one window of that round.
+        """
         telemetry = Telemetry.enabled()
         node = make_node(
             mini_server, lc_loads=(0.4, 0.3), n_bg=1, noise=0.01
         )
         config = small_engine_config(
-            telemetry=telemetry, batch_k=4, parallel_observe=True
+            telemetry=telemetry,
+            max_samples=40,
+            max_iterations=10**6,
+            post_qos_iterations=10**6,
+            batch_k=k,
         )
         CLITEEngine(node, config).optimize()
-        snapshot = telemetry.metrics.snapshot()
-        batches = snapshot["observe.batch.batches"]["value"]
-        configs = snapshot["observe.batch.configs"]["value"]
-        assert batches > 0
-        assert configs >= batches
+        spans = telemetry.tracer.finished()
+        rounds = {
+            span.span_id: 0
+            for span in spans
+            if span.name == "engine.observe"
+            and span.attributes.get("phase") == "search"
+        }
+        for span in spans:
+            if span.name == "node.observe" and span.parent_id in rounds:
+                rounds[span.parent_id] += 1
+        assert rounds
+        assert max(rounds.values()) == k
+        assert min(rounds.values()) >= 1

@@ -385,30 +385,6 @@ class TestContainerTracking:
             races = san.races()
         assert races == []
 
-    def test_observation_service_pool_race_free(self, mini_server):
-        """Concurrent priming through the service must stay clean: the
-        node's cache writes are lock-guarded, the pool is the only
-        mutation path, and the serial observe loop sees pure hits."""
-        from repro.server import ObservationService
-
-        from conftest import make_node
-
-        with instrument() as san:
-            node = make_node(
-                mini_server, lc_loads=(0.4, 0.3), n_bg=1, noise=0.01
-            )
-            service = ObservationService(node, parallel=True, workers=4)
-            rng_configs = [
-                node.space.equal_partition(),
-                node.space.max_allocation(0),
-                node.space.max_allocation(1),
-                node.space.max_allocation(2),
-            ]
-            service.observe_batch(rng_configs)
-            service.close()
-            races = san.races()
-        assert races == []
-
 
 # ----------------------------------------------------------------------
 # Container (list/set/deque) mutation tracking

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import http.client
 import json
 import threading
 import urllib.error
@@ -17,6 +18,7 @@ from repro.warehouse import (
     job_from_spec,
     make_api_server,
 )
+from repro.warehouse.api import MAX_BODY_BYTES
 from repro.warehouse.cli import main
 
 
@@ -123,6 +125,20 @@ def _post(url, payload):
         return response.status, json.loads(response.read())
 
 
+def _post_length_only(server, content_length):
+    """POST headers claiming ``content_length`` bytes, with no body."""
+    host, port = server.server_address[:2]
+    conn = http.client.HTTPConnection(host, port, timeout=5.0)
+    try:
+        conn.putrequest("POST", "/submit")
+        conn.putheader("Content-Length", content_length)
+        conn.endheaders()
+        response = conn.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        conn.close()
+
+
 class TestHTTPEndpoints:
     def test_status_serves_published_snapshot(self, api_server):
         gateway, server = api_server
@@ -171,6 +187,33 @@ class TestHTTPEndpoints:
                 _post(f"{server.url}/{path}", spec)
             assert err.value.code == 400
         assert gateway.drain() == []
+
+    def test_non_integer_content_length_is_400(self, api_server):
+        gateway, server = api_server
+        status, reply = _post_length_only(server, "ten")
+        assert status == 400 and "Content-Length" in reply["error"]
+        assert gateway.drain() == []
+
+    def test_negative_content_length_is_400(self, api_server):
+        gateway, server = api_server
+        status, reply = _post_length_only(server, "-5")
+        assert status == 400 and "Content-Length" in reply["error"]
+        assert gateway.drain() == []
+
+    def test_oversized_body_is_413(self, api_server):
+        gateway, server = api_server
+        status, reply = _post_length_only(server, str(MAX_BODY_BYTES + 1))
+        assert status == 413
+        assert gateway.drain() == []
+
+    def test_body_just_under_the_cap_is_accepted(self, api_server):
+        gateway, server = api_server
+        body = json.dumps({"workload": "canneal", "name": "bg-1"}).encode()
+        body += b" " * (MAX_BODY_BYTES - 1 - len(body))
+        assert len(body) == MAX_BODY_BYTES - 1
+        status, reply = _post(f"{server.url}/submit", body)
+        assert status == 202 and reply == {"queued": "submit", "name": "bg-1"}
+        assert [c.name for c in gateway.drain()] == ["bg-1"]
 
     def test_unknown_paths_are_404(self, api_server):
         _, server = api_server
