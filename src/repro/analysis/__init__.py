@@ -9,13 +9,13 @@ catalog of rules (determinism, thread-safety, contract presence,
 numerics hygiene) reports violations with stable IDs, autofix hints,
 and per-line/per-file suppression comments.
 
-The interprocedural families (dataflow, units, flow, pure, cost) share
+The interprocedural families (dataflow, flow, pure, cost) share
 one core: each function body gets one cached type oracle
 (``CallGraph.scanner``), dotted names resolve through
 ``Project.resolve_dotted``, results are memoized on the project
 (``Project.memo``), flow/pure/cost close their harvests over the call
-graph with :class:`~.core.CallClosure`, and dataflow and units run on
-the abstract-interpreter skeleton in :mod:`.interp`.
+graph with :class:`~.core.CallClosure`, and dataflow runs on the
+abstract-interpreter skeleton in :mod:`.interp`.
 
 Run it as ``repro-lint src/repro`` (console script) or through
 :func:`run_lint`; ``repro-lint src/repro --report {flow,pure,cost}``

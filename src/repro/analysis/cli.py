@@ -62,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--select",
         default="",
         help=(
-            "Comma-separated rule IDs or family names (e.g. UNITS, "
+            "Comma-separated rule IDs or family names (e.g. FLOW, "
             "dataflow) to run exclusively."
         ),
     )
@@ -117,7 +117,7 @@ def _split_rules(raw: str) -> tuple:
 
 
 def _expand_families(tokens: tuple) -> tuple:
-    """Expand family names (``UNITS``, ``thread-safety``) to rule IDs."""
+    """Expand family names (``FLOW``, ``thread-safety``) to rule IDs."""
     families: dict = {}
     for rule_id, cls in all_rules().items():
         families.setdefault(cls.family.upper().replace("-", "_"), []).append(

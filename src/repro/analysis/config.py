@@ -38,8 +38,8 @@ class LintConfig:
             policies; their ``place`` must carry ``@placement_contract``.
         policy_bases: Base-class names marking node partition policies;
             their ``partition`` must carry ``@policy_contract``.
-        optimizer_classes: Class names whose ``propose``/``propose_exploit``
-            must carry ``@proposal_contract``.
+        optimizer_classes: Class names whose ``propose`` must carry
+            ``@proposal_contract``.
         partition_constructors: ``Class.method`` (or bare function) names
             that construct partitions and must carry
             ``@partition_contract``.
@@ -53,21 +53,6 @@ class LintConfig:
         clock_classes: Extra class names (beyond ``Clock`` subclasses
             discovered structurally) whose instances are sanctioned time
             sources for RPL602.
-        units: The quantity-alias registry for the UNITS family
-            (RPL7xx), as ``"Qualname.param=Domain"`` /
-            ``"Qualname.return=Domain"`` entries (the
-            ``[tool.repro-lint.units]`` TOML table is flattened into
-            this form).  Registered signatures seed the abstract
-            interpreter and must be alias-annotated (RPL705).
-        units_modules: Path substrings marking the partition-math
-            modules in which RPL705 enforces alias annotations on
-            registered signatures.
-        units_capacities: Column capacities for the RPL703 Eq. 6 sum
-            check at partition literals, as ordered ``"name=value"``
-            entries (e.g. ``"cores=10"``).  Empty (the default)
-            disables the sum check — tests legitimately build literal
-            matrices for servers of many shapes — leaving the
-            server-independent Eq. 5 floor check active.
         flow_blocking_calls: The RPL802 blocking-call registry:
             ``"mod.fn"`` dotted names, ``".method"`` receiver-blind
             method names (``.result``), or ``"Class.method"`` entries
@@ -161,35 +146,6 @@ class LintConfig:
         "Tracer",
     )
     clock_classes: Tuple[str, ...] = ()
-    units: Tuple[str, ...] = (
-        "ConfigurationSpace.from_unit_cube.x=UnitCube",
-        "ConfigurationSpace.from_unit_cube_batch.x=UnitCube",
-        "ConfigurationSpace.to_unit_cube.return=UnitCube",
-        "ConfigurationSpace.to_unit_cube_batch.return=UnitCube",
-        "LCWorkload.calibrated.max_qps=Rate",
-        "LCWorkload.calibrated.qos_latency_ms=Millis",
-        "LoadSchedule.load_at.return=Fraction",
-        "LoadSchedule.load_at.t=Seconds",
-        "Node.__init__.window_s=Seconds",
-        "PerformanceCounters.read.window_s=Seconds",
-        "ScoreFunction.__call__.return=Fraction",
-        "SimulationResult.quantile.return=Seconds",
-        "capacity_qps.return=Rate",
-        "effective_service_rate.return=Rate",
-        "mm1_mean_sojourn.return=Seconds",
-        "mm1_sojourn_quantile.return=Seconds",
-        "mmc_mean_sojourn.return=Seconds",
-        "mmc_sojourn_quantile.return=Seconds",
-        "p95_latency_ms.qps=Rate",
-        "p95_latency_ms.return=Millis",
-        "qos_met.score=Fraction",
-        "to_millis.return=Millis",
-        "to_millis.value_s=Seconds",
-        "to_seconds.return=Seconds",
-        "to_seconds.value_ms=Millis",
-    )
-    units_modules: Tuple[str, ...] = ("repro/",)
-    units_capacities: Tuple[str, ...] = ()
     flow_blocking_calls: Tuple[str, ...] = (
         ".result",
         ".serve_forever",
@@ -384,8 +340,8 @@ def load_config(start: Optional[Path] = None) -> LintConfig:
             # [tool.repro-lint.<family>]: sub-keys map onto <family>_*
             # fields and hold lists.  The cost table's registry-shaped
             # sub-tables (budgets, collections, bounded) read best as
-            # TOML tables and flatten to sorted "k=v" entries like the
-            # units table.
+            # TOML tables and flatten to sorted "k=v" entries so
+            # LintConfig stays hashable.
             for sub_key, sub_value in value.items():
                 sub_name = f"{name}_{sub_key.replace('-', '_')}"
                 if sub_name in known and isinstance(sub_value, list):
@@ -410,12 +366,6 @@ def load_config(start: Optional[Path] = None) -> LintConfig:
             )
         if isinstance(value, list):
             overrides[name] = tuple(str(v) for v in value)
-        elif isinstance(value, dict):
-            # Nested table ([tool.repro-lint.units]): flatten to sorted
-            # "key=value" entries so LintConfig stays hashable.
-            overrides[name] = tuple(
-                sorted(f"{k}={v}" for k, v in value.items())
-            )
         else:
             overrides[name] = value
     return replace(config, **overrides)

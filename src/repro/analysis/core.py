@@ -1,10 +1,10 @@
 """Shared pieces of the interprocedural analysis families.
 
-Every family (RPL6xx dataflow, RPL7xx units, RPL8xx flow, RPL9xx pure,
-RPL10xx cost) anchors its results at a :class:`Site`, renders source
-snippets with :func:`expr_text`, turns sites into findings with
-:func:`finding_at`, and — for flow, pure and cost — closes per-function
-harvests over the call graph with :class:`CallClosure`.  The per-project
+Every family (RPL6xx dataflow, RPL8xx flow, RPL9xx pure, RPL10xx cost)
+anchors its results at a :class:`Site`, renders source snippets with
+:func:`expr_text`, turns sites into findings with :func:`finding_at`,
+and — for flow, pure and cost — closes per-function harvests over the
+call graph with :class:`CallClosure`.  The per-project
 memo lives on :class:`~.project.Project` (``Project.memo``) and the
 dotted-name resolver on ``Project.resolve_dotted``.
 """

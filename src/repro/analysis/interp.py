@@ -1,10 +1,9 @@
-"""The abstract-interpreter skeleton shared by RPL6xx and RPL7xx.
+"""The abstract-interpreter skeleton under the RPL6xx dataflow family.
 
-Both the provenance-taint pass (:mod:`.dataflow`) and the
-units-and-bounds pass (:mod:`.units`) interpret every function body
-over a small lattice, grow three monotone summary tables — function
-returns, ``(class, field)`` values, module globals — to a bounded
-fixpoint, and then make one reporting pass.  This module holds
+The provenance-taint pass (:mod:`.dataflow`) interprets every function
+body over a small lattice, grows three monotone summary tables —
+function returns, ``(class, field)`` values, module globals — to a
+bounded fixpoint, and then makes one reporting pass.  This module holds
 everything of that which does not depend on the lattice:
 
 * :class:`SummaryAnalysis` — the summary tables and the fixpoint

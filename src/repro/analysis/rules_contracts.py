@@ -93,7 +93,7 @@ class ProposeMissingContract(_DecoratorPresenceRule):
     name = "propose-missing-contract"
     family = CONTRACTS
     description = (
-        "An acquisition optimizer's propose()/propose_exploit() lacks "
+        "An acquisition optimizer's propose() lacks "
         "@proposal_contract: proposed candidate partitions would not be "
         "validated against Eqs. 5-6 before being observed."
     )
@@ -108,15 +108,12 @@ class ProposeMissingContract(_DecoratorPresenceRule):
         for cls in project.iter_classes():
             if cls.name not in targets:
                 continue
-            for method_name in ("propose", "propose_exploit"):
-                method = cls.methods.get(method_name)
-                if method is None:
-                    continue
-                message = self._missing(method, f"{cls.name}.{method_name}")
-                if message is not None:
-                    yield self.finding(
-                        project, cls.module, method.node, message
-                    )
+            method = cls.methods.get("propose")
+            if method is None:
+                continue
+            message = self._missing(method, f"{cls.name}.propose")
+            if message is not None:
+                yield self.finding(project, cls.module, method.node, message)
 
 
 @register

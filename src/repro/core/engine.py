@@ -28,6 +28,15 @@ from .optimizer import AcquisitionOptimizer
 from .score import ScoreFunction
 from .termination import EITermination
 
+#: Observation-noise variance for the GP.
+GP_NOISE = 1e-4
+#: EI termination-threshold growth per extra job.
+EI_JOBS_SCALE = 1.25
+#: Consecutive below-threshold iterations before EI termination fires.
+EI_PATIENCE = 4
+#: Consecutive rejected refinement moves before the refine phase gives up.
+REFINE_PATIENCE = 5
+
 
 @dataclass(frozen=True)
 class CLITEConfig:
@@ -41,7 +50,6 @@ class CLITEConfig:
             ``acquisition`` is given.
         acquisition: Override the acquisition function (ablations).
         kernel: Override the GP kernel (ablations); default Matérn-5/2.
-        gp_noise: Observation-noise variance for the GP.
         max_iterations: Hard cap on BO iterations after the bootstrap.
         max_samples: Optional cap on *total* observations, bootstrap
             included (used for fair policy comparisons).
@@ -52,8 +60,6 @@ class CLITEConfig:
         informed_bootstrap: Seed with equal partition + per-job extrema
             (True, the paper) or uniformly random samples (ablation).
         ei_threshold: Base EI termination threshold (1 job).
-        ei_jobs_scale: Termination-threshold growth per extra job.
-        ei_patience: Consecutive below-threshold iterations to stop.
         ei_min_iterations: Iterations before termination may fire.
         post_qos_iterations: Iterations that must elapse *after the
             first QoS-meeting sample* before EI termination is honored.
@@ -74,8 +80,6 @@ class CLITEConfig:
         refine_budget: Maximum observation windows spent on the greedy
             post-BO refinement phase (LC-to-BG single-unit donations
             kept only when the measured score improves).
-        refine_patience: Consecutive rejected refinement moves before
-            the phase gives up.
         stop_on_infeasible: Abort early when some LC job misses QoS even
             at maximum allocation ("schedule it elsewhere").
         batch_k: Top-ranked acquisition candidates observed per BO
@@ -98,7 +102,6 @@ class CLITEConfig:
     zeta: float = 0.01
     acquisition: Optional[AcquisitionFunction] = None
     kernel: Optional[Kernel] = None
-    gp_noise: float = 1e-4
     max_iterations: int = 50
     max_samples: Optional[int] = None
     n_restarts: int = 8
@@ -106,14 +109,11 @@ class CLITEConfig:
     dropout_random_prob: float = 0.1
     informed_bootstrap: bool = True
     ei_threshold: float = 0.005
-    ei_jobs_scale: float = 1.25
-    ei_patience: int = 4
     ei_min_iterations: int = 8
     confirm_top: int = 3
     constrained_execution: bool = True
     post_qos_iterations: int = 20
     refine_budget: int = 20
-    refine_patience: int = 5
     stop_on_infeasible: bool = True
     batch_k: int = 1
     seed: Optional[int] = None
@@ -215,8 +215,8 @@ class CLITEEngine:
         )
         self._termination = EITermination(
             base_threshold=self.config.ei_threshold,
-            jobs_scale=self.config.ei_jobs_scale,
-            patience=self.config.ei_patience,
+            jobs_scale=EI_JOBS_SCALE,
+            patience=EI_PATIENCE,
             min_iterations=self.config.ei_min_iterations,
         )
 
@@ -320,9 +320,7 @@ class CLITEEngine:
             self._dropout.update(record.config, record.observation, self.node)
 
         sampled: Set[Tuple[int, ...]] = {r.config.flat() for r in records}
-        gp = GaussianProcess(
-            kernel=self.config.build_kernel(), noise=self.config.gp_noise
-        )
+        gp = GaussianProcess(kernel=self.config.build_kernel(), noise=GP_NOISE)
         self._termination.reset()
         converged = False
         first_qos_iteration: Optional[int] = None
@@ -514,7 +512,7 @@ class CLITEEngine:
         observations: starting from the incumbent, repeatedly donate one
         unit from the LC job with the most latency slack to a BG job,
         keep the move iff the measured Eq. 3 score improved, and stop
-        after ``refine_patience`` consecutive rejected moves or when the
+        after ``REFINE_PATIENCE`` consecutive rejected moves or when the
         move budget runs out.  Mutates ``records``/``sampled`` in place.
         """
         budget = self.config.refine_budget
@@ -554,7 +552,7 @@ class CLITEEngine:
             else:
                 rejected.add(move.flat())
                 failures += 1
-                if failures >= self.config.refine_patience:
+                if failures >= REFINE_PATIENCE:
                     break
 
     def _pick_refine_move(

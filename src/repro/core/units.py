@@ -6,30 +6,29 @@ slices; Eqs. 5-6), normalized unit-cube coordinates in [0, 1] that the
 Gaussian process optimizes over, tail latencies (seconds *and*
 milliseconds), arrival/service rates, and dimensionless fractions.
 This module gives each of those families a *named* ``TypeAlias`` so the
-units are visible in every signature, and ``repro-lint``'s UNITS family
-(RPL701-705, :mod:`repro.analysis.units`) reads the alias names off
-annotations and propagates them interprocedurally: adding ``Seconds``
-to ``Millis``, feeding a raw allocation into a unit-cube API, or
-comparing a QoS target against a measurement in the wrong time domain
-becomes a static finding instead of a silently shrunken feasible
-region.
+units are visible in every signature: a reader (and a reviewer) sees
+that ``window_s`` is ``Seconds`` and ``qos_latency_ms`` is ``Millis``
+without chasing the call chain.
 
 The aliases are intentionally plain ``float``/``int`` aliases rather
-than ``NewType`` wrappers: they cost nothing at runtime, they stay
-assignment-compatible under mypy (the hot path never boxes a float),
-and the *checker* — not the type system — carries the proof, exactly
-the way the determinism and thread-safety families work.
+than ``NewType`` wrappers: they cost nothing at runtime and stay
+assignment-compatible under mypy (the hot path never boxes a float).
+The invariants the names document are pinned at runtime instead: the
+partition contracts (:mod:`repro.resources.contracts`) check Eqs. 5-6
+on every partition that crosses a module boundary,
+``ConfigurationSpace.from_unit_cube*`` clips to [0, 1] before
+rounding, and value tests pin the seconds/milliseconds conversions.
 
 Conventions:
 
 * ``*_s`` names and ``Seconds`` values are wall/simulated seconds;
   ``*_ms`` names and ``Millis`` values are milliseconds.  Convert only
   through :func:`to_seconds` / :func:`to_millis` (or an explicit
-  ``* 1000.0`` / ``/ 1000.0``, which the checker also understands).
+  ``* 1000.0`` / ``/ 1000.0`` at the boundary).
 * ``Cores`` / ``CacheWays`` / ``MembwUnits`` are discrete allocation
   units (Eq. 5 floors them at 1 per job).
-* ``UnitCube`` values live in [0, 1]; everything entering
-  ``from_unit_cube*`` must be provably inside the cube (RPL702).
+* ``UnitCube`` values live in [0, 1]; ``from_unit_cube*`` clips its
+  input into the cube before rounding.
 * ``Fraction`` is a dimensionless ratio in [0, 1] (load fractions,
   shares, scores); ``Rate`` is per-second (QPS, service rates).
 """

@@ -278,6 +278,15 @@ class ObservationStore:
                 if fresh:
                     self._fh.write(self._header_line() + "\n")
                     self._file_lines = 1
+                else:
+                    # A crash mid-append can leave the last line without
+                    # its newline; _load skipped it, and terminating it
+                    # here keeps the next entry off that unparsable line.
+                    # repro-lint: disable-next-line=RPL802
+                    with open(self.path, "rb") as tail:
+                        tail.seek(-1, os.SEEK_END)
+                        if tail.read(1) != b"\n":
+                            self._fh.write("\n")
             return self._fh
 
     def _append(self, key: StoreKey, jobs: Tuple["JobObservation", ...]) -> None:

@@ -103,7 +103,13 @@ def job_from_spec(spec: Dict[str, object]) -> GatewayCommand:
         if raw_schedule is not None:
             try:
                 schedule = LoadSchedule.steps(
-                    [(float(t), float(load)) for t, load in raw_schedule]  # type: ignore[union-attr]
+                    [
+                        (
+                            _spec_number(t, "step start must be a finite number"),
+                            _spec_number(load, "step load must be a finite number"),
+                        )
+                        for t, load in raw_schedule  # type: ignore[union-attr]
+                    ]
                 )
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"bad 'schedule': {exc}") from exc

@@ -157,8 +157,10 @@ class LoadPhase:
     load_fraction: Fraction
 
     def __post_init__(self) -> None:
-        if self.start_s < 0:
-            raise ValueError("phase start must be >= 0")
+        if not math.isfinite(self.start_s) or self.start_s < 0:
+            raise ValueError(
+                f"phase start must be finite and >= 0, got {self.start_s}"
+            )
         if not 0 <= self.load_fraction <= 1.5:
             raise ValueError(
                 f"load fraction should be in [0, 1.5], got {self.load_fraction}"

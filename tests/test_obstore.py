@@ -152,6 +152,20 @@ class TestCorruptionTolerance:
         assert store.stats().corrupt == 1
         assert store.stats().loaded == 5
 
+    def test_torn_tail_does_not_swallow_the_next_put(self, store_path):
+        with ObservationStore(store_path) as store:
+            store.put("fp", (1,), (0.1,), ())
+            store.put("fp", (2,), (0.1,), ())
+        data = store_path.read_bytes()
+        store_path.write_bytes(data[:-15])  # crash mid-append: no "\n"
+        reopened = ObservationStore(store_path)
+        assert reopened.stats().corrupt == 1
+        reopened.put("fp", (3,), (0.1,), ())
+        reopened.close()
+        reloaded = ObservationStore(store_path)
+        assert reloaded.get("fp", (3,), (0.1,)) is not None
+        assert reloaded.stats().corrupt == 1
+
     def test_garbage_lines_skipped(self, mini_server, store_path):
         self._write_valid_store(mini_server, store_path)
         with open(store_path, "a") as fh:

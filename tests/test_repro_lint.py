@@ -20,6 +20,7 @@ from repro.analysis import (
     run_lint,
 )
 from repro.analysis.model import all_rules
+from repro.analysis.project import _collect_suppressions
 
 FIXTURES = Path(__file__).resolve().parent / "lint_fixtures"
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -277,101 +278,6 @@ class TestDataflowRules:
 
 
 # ----------------------------------------------------------------------
-# Units family (abstract interpretation)
-# ----------------------------------------------------------------------
-class TestUnitsRules:
-    UNITS_IDS = ("RPL701", "RPL702", "RPL703", "RPL704", "RPL705")
-    #: Retargets RPL705 at the fixture's registered signature and brings
-    #: the fixture path into the units-modules scope.
-    OVERRIDES = dict(
-        select=UNITS_IDS,
-        units=("knee_latency.return=Millis",),
-        units_modules=("",),
-    )
-
-    def test_bad_fixture_triggers_all_five_rules(self):
-        findings = lint_fixture("units_bad.py", **self.OVERRIDES)
-        assert sorted(set(rule_ids(findings))) == sorted(self.UNITS_IDS), (
-            render_text(findings)
-        )
-
-    def test_good_fixture_is_clean(self):
-        findings = lint_fixture("units_good.py", **self.OVERRIDES)
-        assert findings == [], render_text(findings)
-
-    def test_rpl701_names_both_domains(self):
-        findings = lint_fixture(
-            "units_bad.py", **{**self.OVERRIDES, "select": ("RPL701",)}
-        )
-        assert len(findings) == 1
-        assert "Seconds" in findings[0].message
-        assert "Millis" in findings[0].message
-
-    def test_rpl704_is_not_a_generic_cross_domain_finding(self):
-        """The s-vs-ms comparison gets the dedicated time rule, not RPL701."""
-        findings = lint_fixture(
-            "units_bad.py", **{**self.OVERRIDES, "select": ("RPL704",)}
-        )
-        assert len(findings) == 1
-        assert "qos_ok" in findings[0].message or "compar" in findings[0].message
-
-    def test_rpl702_requires_finite_escape_evidence(self):
-        findings = lint_fixture(
-            "units_bad.py", **{**self.OVERRIDES, "select": ("RPL702",)}
-        )
-        assert len(findings) == 1
-        assert "[0, 1]" in findings[0].message
-
-    def test_rpl703_floor_violation_fires_by_default(self):
-        findings = lint_fixture(
-            "units_bad.py", **{**self.OVERRIDES, "select": ("RPL703",)}
-        )
-        assert len(findings) == 1  # only the zero-floor literal
-
-    def test_rpl703_capacity_sums_are_opt_in(self):
-        capacities = ("cores=10", "llc=8")
-        with_caps = lint_fixture(
-            "units_bad.py",
-            **{
-                **self.OVERRIDES,
-                "select": ("RPL703",),
-                "units_capacities": capacities,
-            },
-        )
-        # zero-floor literal + the (9, 8)-sum literal vs (10, 8) capacity
-        assert len(with_caps) == 2
-        good = lint_fixture(
-            "units_good.py",
-            **{
-                **self.OVERRIDES,
-                "select": ("RPL703",),
-                "units_capacities": capacities,
-            },
-        )
-        assert good == [], render_text(good)
-
-    def test_rpl705_skipped_outside_units_modules(self):
-        findings = lint_fixture(
-            "units_bad.py",
-            **{**self.OVERRIDES, "units_modules": ("src/repro/",)},
-        )
-        assert "RPL705" not in set(rule_ids(findings))
-
-    def test_suppression_silences_units_finding(self, tmp_path):
-        snippet = tmp_path / "suppressed_units.py"
-        snippet.write_text(
-            "from repro.core.units import Millis, Seconds\n"
-            "def f(a_s: Seconds, b_ms: Millis) -> float:\n"
-            "    # repro-lint: disable-next-line=RPL701\n"
-            "    return a_s + b_ms\n"
-        )
-        findings = run_lint(
-            [snippet], fixture_config(select=("RPL701",))
-        )
-        assert findings == [], render_text(findings)
-
-
-# ----------------------------------------------------------------------
 # Flow family (RPL8xx)
 # ----------------------------------------------------------------------
 class TestFlowRules:
@@ -570,7 +476,6 @@ class TestRegistryAndRepoTree:
         "RPL401", "RPL402",
         "RPL501", "RPL502",
         "RPL601", "RPL602", "RPL603",
-        "RPL701", "RPL702", "RPL703", "RPL704", "RPL705",
         "RPL801", "RPL802", "RPL803", "RPL804", "RPL805",
         "RPL901", "RPL902", "RPL903", "RPL904", "RPL905",
         "RPL1001", "RPL1002", "RPL1003", "RPL1004", "RPL1005",
@@ -599,6 +504,23 @@ class TestRegistryAndRepoTree:
             exclude=[FIXTURES],
         )
         assert findings == [], render_text(findings)
+
+    def test_suppressions_name_registered_rules(self):
+        """Every ``repro-lint: disable…=`` directive in the repo names a
+        registered rule, so deleting a rule family cannot leave dead
+        suppressions behind."""
+        known = set(all_rules()) | {"all"}
+        dead = []
+        for root in ("src", "tests", "examples", "benchmarks"):
+            for path in sorted((REPO_ROOT / root).rglob("*.py")):
+                lines = path.read_text(encoding="utf-8").splitlines()
+                file_level, per_line = _collect_suppressions(lines)
+                named = file_level.union(*per_line.values())
+                dead.extend(
+                    f"{path.relative_to(REPO_ROOT)}: {rule_id}"
+                    for rule_id in sorted(named - known)
+                )
+        assert dead == []
 
     def test_exclude_drops_subtree(self):
         with_fixtures = run_lint(
@@ -664,29 +586,6 @@ class TestCLI:
         for rule_id in TestRegistryAndRepoTree.EXPECTED_RULES:
             assert rule_id in result.stdout
 
-    def test_select_units_family_text(self):
-        """``--select UNITS`` expands to RPL701-705 and reports findings."""
-        result = run_cli(
-            str(FIXTURES / "units_bad.py"), "--select", "UNITS"
-        )
-        assert result.returncode == 1, result.stdout + result.stderr
-        assert "RPL701" in result.stdout
-        assert "RPL704" in result.stdout
-
-    def test_select_units_family_json(self):
-        result = run_cli(
-            str(FIXTURES / "units_bad.py"),
-            "--select", "UNITS",
-            "--format", "json",
-        )
-        assert result.returncode == 1, result.stdout + result.stderr
-        payload = json.loads(result.stdout)
-        counts = payload["counts_by_rule"]
-        assert counts.get("RPL701") == 1
-        assert counts.get("RPL704") == 1
-        assert counts.get("RPL703") == 1  # the Eq. 5 floor literal
-        assert payload["finding_count"] >= 3
-
     def test_fixture_corpus_matches_golden_findings(self):
         """Every finding on the fixture corpus — rule, path, line,
         column, message and hint — is pinned byte for byte."""
@@ -696,9 +595,3 @@ class TestCLI:
         assert result.returncode == 1, result.stderr
         golden = (FIXTURES / "golden_findings.json").read_text()
         assert result.stdout == golden
-
-    def test_select_units_family_clean_on_package(self):
-        """The dogfooding gate: ``--select UNITS`` is clean on src/repro."""
-        result = run_cli(str(PACKAGE), "--select", "UNITS")
-        assert result.returncode == 0, result.stdout + result.stderr
-        assert "clean" in result.stdout

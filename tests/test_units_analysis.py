@@ -1,19 +1,9 @@
-"""Tests for the repro-units abstract domain and its runtime agreement.
+"""Value pins for the quantity conventions of :mod:`repro.core.units`.
 
-Three concerns live here:
-
-* the :class:`~repro.analysis.units.UnitValue` lattice itself (joins,
-  boundary ranges, scalar absorption) and the registry/config parsers;
-* the central soundness property behind RPL703: the static interval
-  domain (:func:`~repro.analysis.units.admits_partition`) agrees with
-  the runtime partition contracts
-  (:func:`~repro.resources.contracts.check_partition_matrix`) — every
-  partition the runtime accepts is statically admitted, and every
-  partition the checker provably rejects is a runtime violation too;
-* regression tests pinning the seconds<->milliseconds conversion sites
-  the UNITS dogfooding audit walked through (latency model, saturated
-  node fallback), asserting the corrected *values*, not just lint
-  cleanliness.
+The seconds<->milliseconds conversion sites (latency model, saturated
+node fallback) are pinned by their corrected *values*: a conversion
+dropped or applied twice moves a reported tail latency by 1000x, which
+these tests catch directly.
 """
 
 from __future__ import annotations
@@ -24,10 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import units as udom
-from repro.analysis.config import LintConfig
-from repro.core.units import MS_PER_S, to_millis, to_seconds
-from repro.resources.contracts import ContractViolation, check_partition_matrix
+from repro.core.units import to_millis, to_seconds
 from repro.workloads import (
     mm1_mean_sojourn,
     mm1_sojourn_quantile,
@@ -39,190 +26,7 @@ from repro.workloads import (
 
 from conftest import make_lc, make_node
 
-INF = float("inf")
 
-
-# ----------------------------------------------------------------------
-# The UnitValue lattice
-# ----------------------------------------------------------------------
-class TestUnitValueLattice:
-    def test_boundary_ranges_mirror_runtime_contracts(self):
-        # Allocations are floored at 1 unit (Eq. 5) ...
-        for domain in (udom.CORES, udom.CACHE_WAYS, udom.MEMBW_UNITS):
-            value = udom.from_domain(domain)
-            assert (value.lo, value.hi) == (1.0, INF)
-        # ... cube coordinates and fractions live in [0, 1] ...
-        for domain in (udom.UNIT_CUBE, udom.FRACTION):
-            value = udom.from_domain(domain)
-            assert (value.lo, value.hi) == (0.0, 1.0)
-        # ... times and rates are non-negative.
-        for domain in (udom.SECONDS, udom.MILLIS, udom.RATE):
-            value = udom.from_domain(domain)
-            assert (value.lo, value.hi) == (0.0, INF)
-
-    def test_join_same_domain_takes_interval_hull(self):
-        a = udom.UnitValue(udom.SECONDS, 1.0, 2.0)
-        b = udom.UnitValue(udom.SECONDS, 5.0, 9.0)
-        assert udom.join(a, b) == udom.UnitValue(udom.SECONDS, 1.0, 9.0)
-
-    def test_join_dimensionless_constant_keeps_the_unit(self):
-        # x = 0.0 on one branch, x = window_s on the other: still Seconds.
-        zero = udom.UnitValue(udom.DIMENSIONLESS, 0.0, 0.0)
-        window = udom.UnitValue(udom.SECONDS, 0.0, 10.0)
-        joined = udom.join(zero, window)
-        assert joined.domain == udom.SECONDS
-        assert (joined.lo, joined.hi) == (0.0, 10.0)
-
-    def test_join_of_two_different_units_is_top(self):
-        s = udom.from_domain(udom.SECONDS)
-        ms = udom.from_domain(udom.MILLIS)
-        assert udom.join(s, ms).is_top
-
-    def test_join_with_top_is_top(self):
-        assert udom.join(udom.UNKNOWN, udom.from_domain(udom.MILLIS)).is_top
-
-    def test_join_is_commutative_on_domains(self):
-        values = [udom.from_domain(d) for d in sorted(udom.DOMAINS)]
-        values.append(udom.UNKNOWN)
-        for a in values:
-            for b in values:
-                assert udom.join(a, b).domain == udom.join(b, a).domain
-
-    def test_predicates(self):
-        assert udom.UNKNOWN.is_top
-        assert not udom.UNKNOWN.is_unit
-        assert udom.from_domain(udom.FRACTION).is_scalar
-        assert udom.from_domain(udom.DIMENSIONLESS).is_scalar
-        seconds = udom.from_domain(udom.SECONDS)
-        assert seconds.is_unit and not seconds.is_scalar
-        assert udom.UnitValue(udom.MILLIS, 5.0, 5.0).is_constant
-        assert not seconds.is_constant  # infinite bound
-
-    def test_ms_per_s_matches_the_runtime_constant(self):
-        assert udom.MS_PER_S == MS_PER_S == 1000.0
-
-
-class TestConfigParsers:
-    def test_parse_registry_splits_on_last_dot(self):
-        config = LintConfig(units=("pkg.mod.fn.return=Millis",))
-        assert udom.parse_registry(config) == {
-            ("pkg.mod.fn", "return"): udom.MILLIS
-        }
-
-    def test_parse_registry_skips_unknown_domains(self):
-        config = LintConfig(units=("fn.return=Furlongs",))
-        assert udom.parse_registry(config) == {}
-
-    def test_parse_capacities(self):
-        config = LintConfig(units_capacities=("cores=10", "llc=8.5"))
-        assert udom.parse_capacities(config) == (10.0, 8.5)
-
-    def test_units_scope_is_a_path_prefix_filter(self):
-        config = LintConfig(units_modules=("repro/",))
-        assert udom.in_units_scope(config, "src/repro/core/score.py")
-        assert not udom.in_units_scope(config, "examples/demo.py")
-
-
-# ----------------------------------------------------------------------
-# Static interval domain vs. runtime partition contracts
-# ----------------------------------------------------------------------
-def _degenerate(matrix):
-    """Each concrete entry as the exact interval it denotes."""
-    return [[(float(v), float(v)) for v in row] for row in matrix]
-
-
-@st.composite
-def partition_cases(draw):
-    """A small integer allocation matrix plus candidate capacities."""
-    n_jobs = draw(st.integers(min_value=1, max_value=4))
-    n_resources = draw(st.integers(min_value=1, max_value=3))
-    matrix = draw(
-        st.lists(
-            st.lists(
-                st.integers(min_value=0, max_value=12),
-                min_size=n_resources,
-                max_size=n_resources,
-            ),
-            min_size=n_jobs,
-            max_size=n_jobs,
-        )
-    )
-    # Half the time the capacities are the true column sums (a valid
-    # Eq. 6 witness), otherwise arbitrary — both sides must agree
-    # either way.
-    if draw(st.booleans()):
-        capacities = [sum(row[j] for row in matrix) for j in range(n_resources)]
-    else:
-        capacities = draw(
-            st.lists(
-                st.integers(min_value=1, max_value=40),
-                min_size=n_resources,
-                max_size=n_resources,
-            )
-        )
-    return matrix, capacities
-
-
-class TestStaticDomainAgreesWithContracts:
-    @given(case=partition_cases())
-    @settings(max_examples=200, deadline=None)
-    def test_runtime_accept_implies_static_admit(self, case):
-        matrix, capacities = case
-        try:
-            check_partition_matrix(matrix, capacities, "property-test")
-        except ContractViolation:
-            return  # only runtime-legal partitions constrain the checker
-        admitted, reason = udom.admits_partition(
-            _degenerate(matrix), [float(c) for c in capacities]
-        )
-        assert admitted, (
-            f"runtime contracts accepted {matrix} with capacities "
-            f"{capacities} but the static domain rejected it: {reason}"
-        )
-
-    @given(case=partition_cases())
-    @settings(max_examples=200, deadline=None)
-    def test_static_reject_implies_runtime_violation(self, case):
-        matrix, capacities = case
-        admitted, _ = udom.admits_partition(
-            _degenerate(matrix), [float(c) for c in capacities]
-        )
-        if admitted:
-            return
-        with pytest.raises(ContractViolation):
-            check_partition_matrix(matrix, capacities, "property-test")
-
-    def test_widened_intervals_never_produce_false_positives(self):
-        # An analysis-time interval that merely *may* dip below the
-        # floor (lo < 1 but hi >= 1) is not proof; the checker must
-        # stay quiet exactly where the runtime might still pass.
-        cells = [[(0.0, 4.0), (1.0, 1.0)], [(2.0, 2.0), (3.0, 3.0)]]
-        admitted, _ = udom.admits_partition(cells)
-        assert admitted
-
-    def test_capacity_check_needs_matching_width(self):
-        # Capacities of the wrong arity cannot be matched to columns;
-        # the checker abstains rather than guessing.
-        cells = _degenerate([[2, 2], [2, 2]])
-        admitted, _ = udom.admits_partition(cells, [99.0])
-        assert admitted
-
-    def test_eq5_floor_message_names_the_entry(self):
-        admitted, reason = udom.admits_partition(_degenerate([[0, 4], [5, 4]]))
-        assert not admitted
-        assert "(0, 0)" in reason and "Eq. 5" in reason
-
-    def test_eq6_sum_message_names_the_column(self):
-        admitted, reason = udom.admits_partition(
-            _degenerate([[4, 4], [5, 4]]), [10.0, 8.0]
-        )
-        assert not admitted
-        assert "column 0" in reason and "Eq. 6" in reason
-
-
-# ----------------------------------------------------------------------
-# Satellite: seconds <-> milliseconds regression pins
-# ----------------------------------------------------------------------
 class TestTimeConversionRegressions:
     @given(ms=st.floats(min_value=0.0, max_value=1e9, allow_nan=False))
     @settings(max_examples=100, deadline=None)

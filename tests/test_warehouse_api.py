@@ -60,6 +60,17 @@ class TestJobFromSpec:
             ({"workload": "canneal", "at": float("inf")}, "'at'"),
             ({"workload": "memcached", "load": True}, "'load'"),
             ({"workload": "memcached", "load": float("nan")}, "'load'"),
+            (
+                {"workload": "memcached",
+                 "schedule": [[0, 0.3], [float("nan"), 0.9]]},
+                "schedule",
+            ),
+            (
+                {"workload": "memcached", "schedule": [[0, 0.3], ["nan", 0.9]]},
+                "schedule",
+            ),
+            ({"workload": "memcached", "schedule": [[0, True]]}, "schedule"),
+            ({"workload": "memcached", "schedule": [[0, "0.4"]]}, "schedule"),
         ],
     )
     def test_bad_specs_raise(self, spec, message):

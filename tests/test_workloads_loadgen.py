@@ -133,6 +133,11 @@ class TestLoadSchedule:
         with pytest.raises(ValueError):
             schedule.load_at(-1.0)
 
+    @pytest.mark.parametrize("start", [float("nan"), float("inf")])
+    def test_non_finite_phase_start_rejected(self, start):
+        with pytest.raises(ValueError, match="phase start"):
+            LoadSchedule.steps([(0, 0.3), (start, 0.9)])
+
     def test_load_fraction_bounds(self):
         with pytest.raises(ValueError):
             LoadSchedule.steps([(0, 2.0)])
